@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlrpd_core::{
-    ArrayDecl, ArrayId, BalancePolicy, CheckpointPolicy, ClosureLoop, RunConfig, Runner,
+    ArrayDecl, ArrayId, BalancePolicy, CheckpointPolicy, ClosureLoop, RunConfig, RunPlan, Runner,
     ShadowKind, Strategy, WindowConfig,
 };
 use rlrpd_loops::{NlfiltInput, NlfiltLoop};
@@ -41,8 +41,9 @@ fn balance_policy(c: &mut Criterion) {
                 .with_strategy(Strategy::Nrd);
             b.iter(|| {
                 let mut runner = Runner::new(cfg);
-                let _ = runner.run(&lp);
-                black_box(runner.run(&lp).report.restarts)
+                let _ = runner.execute(&lp, RunPlan::default()).unwrap();
+                let res = runner.execute(&lp, RunPlan::default()).unwrap();
+                black_box(res.report.restarts)
             });
         });
     }

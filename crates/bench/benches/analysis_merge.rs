@@ -9,7 +9,7 @@
 //!    of the partition pass.
 //! 2. **Pooled `run_blocks` vs spawn-per-stage** over a 100-stage run:
 //!    the persistent pool pays thread creation once per process, the
-//!    `ExecMode::Threads` baseline pays it on every stage.
+//!    bench-local scoped-thread baseline pays it on every stage.
 //!
 //! Besides the criterion output, the harness re-times the headline
 //! configurations directly and records them to `BENCH_analysis.json`
@@ -87,14 +87,27 @@ fn analyze_seq_vs_parallel(c: &mut Criterion) {
 /// One stage of block work: enough arithmetic per block that the stage
 /// body dominates thread-administration cost only when threads are
 /// reused, not when they are spawned per stage.
+fn block_work(pos: usize, s: &mut u64) {
+    let mut acc = *s ^ pos as u64;
+    for i in 0..2_000u64 {
+        acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
+    }
+    *s = acc;
+}
+
 fn stage_work(states: &mut [u64], ex: &Executor) {
     ex.run_blocks(states, |pos, s| {
-        let mut acc = *s ^ pos as u64;
-        for i in 0..2_000u64 {
-            acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
-        }
-        *s = acc;
+        block_work(pos, s);
         0.0
+    });
+}
+
+/// The spawn-per-stage baseline: one scoped OS thread per block.
+fn spawn_stage_work(states: &mut [u64]) {
+    std::thread::scope(|scope| {
+        for (pos, s) in states.iter_mut().enumerate() {
+            scope.spawn(move || block_work(pos, s));
+        }
     });
 }
 
@@ -102,7 +115,6 @@ fn pooled_vs_spawn_per_stage(c: &mut Criterion) {
     let mut g = c.benchmark_group("run_blocks_100_stages");
     for &procs in &[2usize, 4] {
         let pooled = Executor::with_procs(ExecMode::Pooled, procs);
-        let spawn = Executor::with_procs(ExecMode::Threads, procs);
         g.bench_with_input(BenchmarkId::new("pooled", procs), &(), |b, _| {
             let mut states = vec![0u64; procs];
             b.iter(|| {
@@ -116,7 +128,7 @@ fn pooled_vs_spawn_per_stage(c: &mut Criterion) {
             let mut states = vec![0u64; procs];
             b.iter(|| {
                 for _ in 0..100 {
-                    stage_work(&mut states, &spawn);
+                    spawn_stage_work(&mut states);
                 }
                 states[0]
             });
@@ -173,7 +185,6 @@ fn record_baseline() {
 
     for &procs in &[2usize, 4] {
         let pooled = Executor::with_procs(ExecMode::Pooled, procs);
-        let spawn = Executor::with_procs(ExecMode::Threads, procs);
         let mut states = vec![0u64; procs];
         let pooled_ns = time_ns(9, || {
             for _ in 0..100 {
@@ -182,7 +193,7 @@ fn record_baseline() {
         });
         let spawn_ns = time_ns(9, || {
             for _ in 0..100 {
-                stage_work(&mut states, &spawn);
+                spawn_stage_work(&mut states);
             }
         });
         entries.push(format!(

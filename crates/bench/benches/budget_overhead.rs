@@ -19,7 +19,7 @@
 //! repository root (set `RLRPD_BENCH_NO_JSON=1` to skip).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use rlrpd_core::{ArrayDecl, ArrayId, ClosureLoop, RunConfig, Runner, ShadowKind};
+use rlrpd_core::{try_run_speculative, ArrayDecl, ArrayId, ClosureLoop, RunConfig, ShadowKind};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -64,8 +64,7 @@ fn dep_loop() -> ClosureLoop<i64> {
 
 /// One full speculative run under an optional shadow budget.
 fn run_once(lp: &ClosureLoop<i64>, budget: Option<u64>) -> usize {
-    let res = Runner::new(RunConfig::new(4).with_shadow_budget(budget))
-        .try_run(lp)
+    let res = try_run_speculative(lp, RunConfig::new(4).with_shadow_budget(budget))
         .expect("bench loop has no genuine bug");
     res.report.stages.len()
 }
@@ -73,8 +72,7 @@ fn run_once(lp: &ClosureLoop<i64>, budget: Option<u64>) -> usize {
 /// The observed peak footprint of an armed run — the anchor for the
 /// generous and tight caps below.
 fn observed_peak(lp: &ClosureLoop<i64>) -> u64 {
-    Runner::new(RunConfig::new(4).with_shadow_budget(Some(u64::MAX / 2)))
-        .try_run(lp)
+    try_run_speculative(lp, RunConfig::new(4).with_shadow_budget(Some(u64::MAX / 2)))
         .expect("peak probe")
         .report
         .shadow_bytes_peak()

@@ -17,7 +17,9 @@
 //! instead of running benchmarks.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use rlrpd_core::{ExecMode, RunConfig, Runner, SpecLoop, Strategy, WindowConfig};
+use rlrpd_core::{
+    try_run_speculative, ExecMode, RunConfig, RunPlan, Runner, SpecLoop, Strategy, WindowConfig,
+};
 use rlrpd_dist::{DistLauncher, DistPolicy};
 use std::hint::black_box;
 use std::time::Instant;
@@ -49,8 +51,7 @@ fn launcher() -> DistLauncher {
 
 /// One in-process pooled run.
 fn run_pooled(lp: &dyn SpecLoop<f64>) -> usize {
-    let res = Runner::new(config().with_exec(ExecMode::Pooled))
-        .try_run(lp)
+    let res = try_run_speculative(lp, config().with_exec(ExecMode::Pooled))
         .expect("bench loop has no genuine bug");
     assert!(res.report.fallback.is_none());
     res.report.stages.len()
@@ -60,7 +61,7 @@ fn run_pooled(lp: &dyn SpecLoop<f64>) -> usize {
 fn run_distributed(lp: &dyn SpecLoop<f64>) -> usize {
     let mut connector = launcher();
     let res = Runner::new(config().with_exec(ExecMode::Distributed))
-        .try_run_distributed(lp, SPEC, &mut connector)
+        .execute(lp, RunPlan::default().fleet(SPEC, &mut connector))
         .expect("bench loop has no genuine bug");
     assert!(
         res.report.fallback.is_none(),
@@ -124,7 +125,7 @@ fn record_baseline() {
     // Transport volume of one distributed run, for the record.
     let mut connector = launcher();
     let dist_run = Runner::new(config().with_exec(ExecMode::Distributed))
-        .try_run_distributed(lp.as_ref(), SPEC, &mut connector)
+        .execute(lp.as_ref(), RunPlan::default().fleet(SPEC, &mut connector))
         .expect("bench loop has no genuine bug");
     let wire_bytes = dist_run.report.wire_bytes();
 

@@ -21,7 +21,9 @@
 //! repository root (set `RLRPD_BENCH_NO_JSON=1` to skip).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use rlrpd_core::{ArrayDecl, ArrayId, ClosureLoop, FaultPlan, RunConfig, Runner, ShadowKind};
+use rlrpd_core::{
+    ArrayDecl, ArrayId, ClosureLoop, FaultPlan, RunConfig, RunPlan, Runner, ShadowKind,
+};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,7 +73,9 @@ fn run_once(lp: &ClosureLoop<i64>, plan: Option<FaultPlan>) -> usize {
     if let Some(p) = plan {
         runner = runner.with_fault(Arc::new(p));
     }
-    let res = runner.try_run(lp).expect("bench loop has no genuine bug");
+    let res = runner
+        .execute(lp, RunPlan::default())
+        .expect("bench loop has no genuine bug");
     res.report.stages.len()
 }
 

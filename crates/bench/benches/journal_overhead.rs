@@ -19,7 +19,10 @@
 //! repository root (set `RLRPD_BENCH_NO_JSON=1` to skip).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use rlrpd_core::{ArrayDecl, ArrayId, ClosureLoop, Journal, RunConfig, Runner, ShadowKind};
+use rlrpd_core::{
+    try_run_speculative, ArrayDecl, ArrayId, ClosureLoop, Journal, RunConfig, RunPlan, Runner,
+    ShadowKind,
+};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -69,9 +72,7 @@ fn tmp(name: &str) -> PathBuf {
 
 /// One plain speculative run.
 fn run_plain(lp: &ClosureLoop<i64>) -> usize {
-    let res = Runner::new(RunConfig::new(4))
-        .try_run(lp)
-        .expect("bench loop has no genuine bug");
+    let res = try_run_speculative(lp, RunConfig::new(4)).expect("bench loop has no genuine bug");
     res.report.stages.len()
 }
 
@@ -81,7 +82,7 @@ fn run_journaled(lp: &ClosureLoop<i64>, name: &str) -> usize {
     std::fs::remove_file(&path).ok();
     let mut journal = Journal::create(&path).unwrap();
     let res = Runner::new(RunConfig::new(4))
-        .try_run_journaled(lp, &mut journal)
+        .execute(lp, RunPlan::default().journal(&mut journal))
         .expect("bench loop has no genuine bug");
     drop(journal);
     std::fs::remove_file(&path).ok();
@@ -92,7 +93,7 @@ fn run_journaled(lp: &ClosureLoop<i64>, name: &str) -> usize {
 fn run_resume(lp: &ClosureLoop<i64>, path: &PathBuf) -> usize {
     let mut journal = Journal::open(path).unwrap();
     let res = Runner::new(RunConfig::new(4))
-        .resume(lp, &mut journal)
+        .execute(lp, RunPlan::default().journal(&mut journal))
         .expect("journal replays");
     res.arrays.len()
 }
@@ -116,7 +117,7 @@ fn journal_overhead(c: &mut Criterion) {
         std::fs::remove_file(&replay).ok();
         let mut journal = Journal::create(&replay).unwrap();
         Runner::new(RunConfig::new(4))
-            .try_run_journaled(&lp, &mut journal)
+            .execute(&lp, RunPlan::default().journal(&mut journal))
             .unwrap();
         drop(journal);
         g.bench_with_input(BenchmarkId::new(shape, "resume_replay"), &(), |b, _| {
@@ -180,7 +181,7 @@ fn record_baseline() {
         std::fs::remove_file(&replay).ok();
         let mut journal = Journal::create(&replay).unwrap();
         Runner::new(RunConfig::new(4))
-            .try_run_journaled(&lp, &mut journal)
+            .execute(&lp, RunPlan::default().journal(&mut journal))
             .unwrap();
         drop(journal);
 

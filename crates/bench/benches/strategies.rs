@@ -38,13 +38,13 @@ fn fully_parallel_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-fn thread_vs_simulated(c: &mut Criterion) {
+fn pooled_vs_simulated(c: &mut Criterion) {
     use rlrpd_core::ExecMode;
     let lp = FullyParallelLoop::new(4096, 1.0);
     let mut g = c.benchmark_group("exec_mode_p4");
     for (label, mode) in [
         ("simulated", ExecMode::Simulated),
-        ("threads", ExecMode::Threads),
+        ("pooled", ExecMode::Pooled),
     ] {
         g.bench_with_input(BenchmarkId::from_parameter(label), &mode, |b, &m| {
             let cfg = RunConfig::new(4).with_exec(m);
@@ -73,7 +73,7 @@ criterion_group!(
     benches,
     strategies_alpha,
     fully_parallel_overhead,
-    thread_vs_simulated,
+    pooled_vs_simulated,
     irregular_reduction_throughput
 );
 criterion_main!(benches);

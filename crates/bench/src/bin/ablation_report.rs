@@ -9,7 +9,7 @@
 use rlrpd_bench::{fmt, print_table};
 use rlrpd_core::{
     run_speculative, AdaptRule, ArrayDecl, ArrayId, BalancePolicy, CheckpointPolicy, ClosureLoop,
-    CostModel, RunConfig, Runner, ShadowKind, Strategy, WindowConfig, WindowPolicy,
+    CostModel, RunConfig, RunPlan, Runner, ShadowKind, Strategy, WindowConfig, WindowPolicy,
 };
 use rlrpd_loops::{NlfiltInput, NlfiltLoop};
 
@@ -24,7 +24,8 @@ fn time_of(cfg: RunConfig, instantiations: usize) -> f64 {
     let mut runner = Runner::new(cfg);
     let mut best = f64::MAX;
     for _ in 0..instantiations.max(1) {
-        best = best.min(runner.run(&lp).report.virtual_time());
+        let res = runner.execute(&lp, RunPlan::default()).unwrap();
+        best = best.min(res.report.virtual_time());
     }
     best
 }
@@ -104,7 +105,8 @@ fn main() {
         let mut runner = Runner::new(base_cfg().with_strategy(Strategy::Nrd).with_balance(b));
         let mut last = 0.0;
         for _ in 0..3 {
-            last = runner.run(&lp).report.virtual_time();
+            let res = runner.execute(&lp, RunPlan::default()).unwrap();
+            last = res.report.virtual_time();
         }
         vec![label.to_string(), fmt(last)]
     })

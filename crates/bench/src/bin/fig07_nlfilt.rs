@@ -8,7 +8,7 @@
 
 use rlrpd_bench::{fmt, print_table, PROCS};
 use rlrpd_core::{
-    AdaptRule, BalancePolicy, CheckpointPolicy, CostModel, RunConfig, Runner, Strategy,
+    AdaptRule, BalancePolicy, CheckpointPolicy, CostModel, RunConfig, RunPlan, Runner, Strategy,
     WindowConfig,
 };
 use rlrpd_loops::{NlfiltInput, NlfiltLoop};
@@ -50,7 +50,7 @@ fn main() {
                 // speedup vary across them (the paper's "variable PR"
                 // remark).
                 for _ in 0..2 {
-                    let res = runner.run(&lp);
+                    let res = runner.execute(&lp, RunPlan::default()).unwrap();
                     if res.report.speedup() > best_speedup {
                         best_speedup = res.report.speedup();
                         best_pr = runner.pr.pr();

@@ -14,7 +14,7 @@
 use rlrpd_bench::{amdahl, fmt, print_table, PROCS};
 use rlrpd_core::{
     run_induction, AdaptRule, BalancePolicy, CheckpointPolicy, CostModel, ExecMode, RunConfig,
-    Runner, Strategy,
+    RunPlan, Runner, Strategy,
 };
 use rlrpd_loops::{
     extend::ExtendInput, fptrak::FptrakInput, ExtendLoop, FptrakLoop, NlfiltInput, NlfiltLoop,
@@ -35,8 +35,8 @@ fn nlfilt_time(
         .with_cost(CostModel::default());
     let mut runner = Runner::new(cfg);
     // Two instantiations so feedback-guided balancing has history.
-    let first = runner.run(&lp);
-    let second = runner.run(&lp);
+    let first = runner.execute(&lp, RunPlan::default()).unwrap();
+    let second = runner.execute(&lp, RunPlan::default()).unwrap();
     let best = first
         .report
         .virtual_time()
@@ -121,9 +121,9 @@ fn main() {
                 .with_balance(BalancePolicy::FeedbackGuided)
                 .with_cost(cost);
             let mut runner = Runner::new(cfg);
-            let a = runner.run(lp).report.speedup();
-            let b = runner.run(lp).report.speedup();
-            a.max(b)
+            let a = runner.execute(lp, RunPlan::default()).unwrap();
+            let b = runner.execute(lp, RunPlan::default()).unwrap();
+            a.report.speedup().max(b.report.speedup())
         })
         .fold(f64::MIN, f64::max)
     };

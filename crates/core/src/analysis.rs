@@ -82,7 +82,7 @@ pub(crate) fn analyze<T: Value>(
 ) -> AnalysisResult {
     match executor.mode() {
         ExecMode::Simulated => analyze_seq(per_pos_views, tested_ids),
-        ExecMode::Threads | ExecMode::Pooled | ExecMode::Distributed => {
+        ExecMode::Pooled | ExecMode::Distributed => {
             analyze_parallel(per_pos_views, tested_ids, executor)
         }
     }
@@ -162,7 +162,7 @@ pub fn analyze_parallel<T: Value>(
 ) -> AnalysisResult {
     let num_pos = per_pos_views.len();
     let num_slots = tested_ids.len();
-    let buckets = merge_width(executor, num_pos);
+    let buckets = merge_width(executor);
 
     // Pass 1: partition each block's touched entries by element bucket.
     let partitioned: Vec<Vec<Vec<(u32, usize, Mark)>>> = executor.run_indexed(num_pos, |pos| {
@@ -228,15 +228,10 @@ fn finish<T: Value>(result: &mut AnalysisResult, per_pos_views: &[&[ProcView<T>]
     result.first_violation = result.arcs.iter().map(|a| a.sink_pos).min();
 }
 
-/// Number of merge buckets: the pool's width when pooled, one bucket
-/// per block under scoped threads, and a single bucket sequentially.
-fn merge_width(executor: &Executor, num_pos: usize) -> usize {
-    match executor.pool() {
-        Some(pool) => pool.threads(),
-        None if executor.mode() == ExecMode::Simulated => 1,
-        None => num_pos,
-    }
-    .max(1)
+/// Number of merge buckets: the pool's width when pooled, a single
+/// bucket sequentially.
+fn merge_width(executor: &Executor) -> usize {
+    executor.pool().map_or(1, |pool| pool.threads().max(1))
 }
 
 /// Deterministic element-to-bucket assignment (multiplicative hash so
@@ -273,7 +268,6 @@ mod tests {
         // merge must agree with the sequential one in every mode.
         for executor in [
             Executor::new(ExecMode::Simulated),
-            Executor::new(ExecMode::Threads),
             Executor::with_procs(ExecMode::Pooled, 4),
         ] {
             let par = analyze_parallel(&refs, &[0], &executor);

@@ -55,7 +55,7 @@ pub(crate) fn commit_tested<T: Value>(
 ) -> CommitStats {
     let (stats, per_block) = match executor.mode() {
         ExecMode::Simulated => merge_seq(per_pos_views, tested_ids, reductions, shared),
-        ExecMode::Threads | ExecMode::Pooled | ExecMode::Distributed => {
+        ExecMode::Pooled | ExecMode::Distributed => {
             merge_parallel(per_pos_views, tested_ids, reductions, shared, executor)
         }
     };
@@ -288,7 +288,7 @@ mod tests {
         // Same commit through both executors must yield identical state.
         for mode in [
             rlrpd_runtime::ExecMode::Simulated,
-            rlrpd_runtime::ExecMode::Threads,
+            rlrpd_runtime::ExecMode::Pooled,
         ] {
             let mut buf = SharedBuf::new(vec![0.0; 64]);
             buf.new_epoch();

@@ -130,7 +130,7 @@ fn premature_exit(iter: usize) -> RlrpdError {
     }
 }
 
-/// Execute the pipeline on real threads (`Threads`/`Pooled`): `depth`
+/// Execute the pipeline on real threads (`Pooled`): `depth`
 /// lanes on the engine's executor, post/wait cells between them.
 /// Returns `(total_work, loop_time, wall_seconds)`.
 fn run_lanes<T: Value>(
@@ -263,7 +263,7 @@ fn run_lanes<T: Value>(
 mod tests {
     use crate::array::{ArrayDecl, ArrayId};
     use crate::driver::{
-        run_speculative, try_run_speculative, DoacrossConfig, RunConfig, Runner, Strategy,
+        run_speculative, try_run_speculative, DoacrossConfig, RunConfig, RunPlan, Runner, Strategy,
     };
     use crate::engine::run_sequential;
     use crate::error::RlrpdError;
@@ -300,7 +300,7 @@ mod tests {
             let lp = chain_loop(n, d);
             let (seq, _) = run_sequential(&lp);
             let want: Vec<u64> = seq[0].1.iter().map(|v| v.to_bits()).collect();
-            for exec in [ExecMode::Simulated, ExecMode::Threads, ExecMode::Pooled] {
+            for exec in [ExecMode::Simulated, ExecMode::Pooled] {
                 for p in [1usize, 2, 4, 8] {
                     let res = run_speculative(&lp, doacross_cfg(p, d, exec));
                     let got: Vec<u64> = res.array("A").iter().map(|v| v.to_bits()).collect();
@@ -336,7 +336,7 @@ mod tests {
         let dcfg = DoacrossConfig::from_distances(&[5, 3]).unwrap();
         assert_eq!(dcfg.min_distance(), 3);
         assert_eq!(dcfg.distances(), &[3, 5]);
-        for exec in [ExecMode::Threads, ExecMode::Pooled, ExecMode::Simulated] {
+        for exec in [ExecMode::Pooled, ExecMode::Simulated] {
             let cfg = RunConfig::new(8)
                 .with_exec(exec)
                 .with_strategy(Strategy::Doacross(dcfg));
@@ -373,7 +373,7 @@ mod tests {
                 ctx.write(a, i, v + 1.0);
             },
         );
-        for exec in [ExecMode::Threads, ExecMode::Pooled, ExecMode::Simulated] {
+        for exec in [ExecMode::Pooled, ExecMode::Simulated] {
             match try_run_speculative(&lp, doacross_cfg(4, 2, exec)) {
                 Err(RlrpdError::ProgramFault { iter, message }) => {
                     assert_eq!(iter, 117, "exec={exec:?}");
@@ -389,12 +389,12 @@ mod tests {
         let lp = chain_loop(100, 2);
         let stop = Arc::new(AtomicBool::new(true));
         let mut runner =
-            Runner::new(doacross_cfg(4, 2, ExecMode::Threads)).with_stop(Arc::clone(&stop));
-        let res = runner.try_run(&lp).unwrap();
+            Runner::new(doacross_cfg(4, 2, ExecMode::Pooled)).with_stop(Arc::clone(&stop));
+        let res = runner.execute(&lp, RunPlan::default()).unwrap();
         assert_eq!(res.report.stopped_at, Some(0));
         assert!(res.report.stages.is_empty());
         stop.store(false, Ordering::Relaxed);
-        let res = runner.try_run(&lp).unwrap();
+        let res = runner.execute(&lp, RunPlan::default()).unwrap();
         assert_eq!(res.report.stopped_at, None);
         let (seq, _) = run_sequential(&lp);
         assert_eq!(res.array("A"), &seq[0].1[..]);
@@ -405,9 +405,7 @@ mod tests {
         // d > n: every iteration is independent; depth clamps to total.
         let lp = chain_loop(6, 64);
         let (seq, _) = run_sequential(&lp);
-        for exec in [ExecMode::Threads, ExecMode::Pooled] {
-            let res = run_speculative(&lp, doacross_cfg(8, 64, exec));
-            assert_eq!(res.array("A"), &seq[0].1[..], "exec={exec:?}");
-        }
+        let res = run_speculative(&lp, doacross_cfg(8, 64, ExecMode::Pooled));
+        assert_eq!(res.array("A"), &seq[0].1[..]);
     }
 }

@@ -26,7 +26,7 @@ use crate::analysis::DepArc;
 use crate::checkpoint::CheckpointPolicy;
 use crate::engine::{Engine, EngineCfg, StageDelta};
 use crate::error::RlrpdError;
-use crate::journal::{self, Journal, JournalElem, JournalError, JournalHeader, JournalSink};
+use crate::journal::{self, ElemCodec, Journal, JournalElem, JournalHeader, JournalSink};
 use crate::remote::{self, DistConnector};
 use crate::report::{PrAccumulator, RunReport};
 use crate::spec_loop::SpecLoop;
@@ -402,6 +402,47 @@ impl<T: Value> RunResult<T> {
     }
 }
 
+/// Where a run's commits go besides its own arrays: a crash journal, a
+/// worker fleet, both, or neither ([`RunPlan::default`]). See
+/// [`Runner::execute`].
+///
+/// Journals and fleets carry values as 64-bit images, so the builders
+/// that attach them need `T: JournalElem`; they capture its converters
+/// as `fn` pointers, and a plain run stays open to any [`Value`].
+pub struct RunPlan<'a, T> {
+    journal: Option<JournalSink<'a, T>>,
+    fleet: Option<(&'a str, &'a mut dyn DistConnector, ElemCodec<T>)>,
+}
+
+impl<T> Default for RunPlan<'_, T> {
+    fn default() -> Self {
+        RunPlan {
+            journal: None,
+            fleet: None,
+        }
+    }
+}
+
+impl<'a, T: Value + JournalElem> RunPlan<'a, T> {
+    /// Write every stage commit ahead to `journal`; a journal that
+    /// already holds a header is resumed from its frontier.
+    pub fn journal(mut self, journal: &'a mut Journal) -> Self {
+        self.journal = Some(JournalSink {
+            journal,
+            codec: ElemCodec::of(),
+        });
+        self
+    }
+
+    /// Dispatch every stage's blocks to a worker fleet obtained from
+    /// `connector`. `spec` must be a loop spec the workers resolve to
+    /// the *same* loop as the one executed.
+    pub fn fleet(mut self, spec: &'a str, connector: &'a mut dyn DistConnector) -> Self {
+        self.fleet = Some((spec, connector, ElemCodec::of()));
+        self
+    }
+}
+
 /// A stateful runner: carries feedback-guided balancing history and the
 /// program-lifetime PR accumulator across loop instantiations.
 #[derive(Debug)]
@@ -442,8 +483,9 @@ impl Runner {
     /// makes its commit durable, and returns with
     /// [`RunReport::stopped_at`] holding the commit frontier instead of
     /// executing further stages. The run is *paused*, not failed — a
-    /// journaled run resumes from the frontier with [`Runner::resume`].
-    /// The daemon's graceful drain (SIGTERM) is built on this.
+    /// journaled run resumes from the frontier when its journal is
+    /// executed again. The daemon's graceful drain (SIGTERM) is built
+    /// on this.
     pub fn with_stop(mut self, stop: Arc<AtomicBool>) -> Self {
         self.stop = Some(stop);
         self
@@ -454,126 +496,99 @@ impl Runner {
         &self.cfg
     }
 
-    fn engine_cfg(&self) -> EngineCfg {
-        let mut ecfg = self.cfg.engine_cfg();
-        ecfg.fault = self.fault.clone();
-        ecfg
-    }
-
-    /// Execute one instantiation of `lp` speculatively, panicking on an
-    /// unrecoverable fault (see [`Runner::try_run`] for the fallible
-    /// surface).
-    pub fn run<T: Value>(&mut self, lp: &dyn SpecLoop<T>) -> RunResult<T> {
-        self.try_run(lp)
-            .unwrap_or_else(|e| panic!("speculative run failed: {e}"))
-    }
-
-    /// Execute one instantiation of `lp` speculatively.
+    /// Execute one instantiation of `lp` speculatively under `plan`.
     ///
     /// Contained faults, watchdog trips, exhausted restart budgets and
     /// checkpoint faults are all recovered internally (by rollback and,
     /// if the [`FallbackPolicy`] demands it, sequential execution of
     /// the remainder) and reported on the [`RunReport`]. An `Err` means
-    /// the loop itself is faulty ([`RlrpdError::ProgramFault`]) or the
-    /// run hit its hard stage cap.
-    pub fn try_run<T: Value>(&mut self, lp: &dyn SpecLoop<T>) -> Result<RunResult<T>, RlrpdError> {
-        let mut engine = Engine::new(lp, self.engine_cfg(), false);
-        let (report, arcs) = self.drive(&mut engine, 0, &mut None)?;
-        let result = self.finish(&mut engine, report, arcs);
-        self.pr.add(&result.report);
-        Ok(result)
-    }
-
-    /// Execute one instantiation of `lp` speculatively, recording every
-    /// stage commit in `journal` (which must be freshly created — resume
-    /// an interrupted journal with [`Runner::resume`] instead).
+    /// the loop itself is faulty ([`RlrpdError::ProgramFault`]), the
+    /// run hit its hard stage cap, or the journal failed.
     ///
-    /// Appends are write-ahead: each commit record is fsynced before
-    /// the run advances past its commit point, so after a crash at any
-    /// moment the journal holds a consistent run prefix and
-    /// [`Runner::resume`] completes the run with final arrays
-    /// byte-identical to an uninterrupted execution.
-    pub fn try_run_journaled<T: Value + JournalElem>(
+    /// Everything below the commit point is final (paper §2.3), so a
+    /// fresh, journaled, resumed and distributed run are one recursion
+    /// that differs only in where commits go and where it starts:
+    ///
+    /// * **Journal** ([`RunPlan::journal`]). A headerless journal
+    ///   gets this run's header and then one write-ahead commit record
+    ///   per stage, each fsynced before the run advances past its
+    ///   commit point. A journal that already holds a header is
+    ///   *resumed*: the header must describe this loop and
+    ///   configuration (loop shape, array layout, element type,
+    ///   strategy, processor count — the checkpoint policy is not part
+    ///   of it) or the run fails with
+    ///   [`crate::JournalError::Mismatch`] naming the differing field;
+    ///   the committed deltas are replayed to rebuild the shared arrays
+    ///   as they stood at the last durable commit point; and
+    ///   speculation continues from that frontier, appending to the
+    ///   same journal. A journal whose last record
+    ///   completes the run returns the final arrays without executing
+    ///   anything. Either way the final arrays are byte-identical to an
+    ///   uninterrupted run.
+    /// * **Fleet** ([`RunPlan::fleet`]). Every stage's blocks are
+    ///   dispatched to an external worker fleet. A lost fleet — workers
+    ///   dead, hung, or divergent beyond the connector's respawn
+    ///   budget, or a fleet that never launched — is **never** an
+    ///   error: the run degrades to the in-process pooled path
+    ///   mid-stage without losing committed work (blocks are idempotent
+    ///   over the committed prefix) and records
+    ///   [`FallbackReason::WorkerLoss`]. On a fresh journal the wire
+    ///   broadcast and the disk journal carry byte-identical record
+    ///   chains; a resumed fleet is brought up to the frontier with one
+    ///   synthetic full-state broadcast.
+    pub fn execute<T: Value>(
         &mut self,
         lp: &dyn SpecLoop<T>,
-        journal: &mut Journal,
+        plan: RunPlan<'_, T>,
     ) -> Result<RunResult<T>, RlrpdError> {
-        if !journal.is_empty() {
-            return Err(JournalError::NotEmpty.into());
-        }
-        let mut ecfg = self.engine_cfg();
-        ecfg.capture_deltas = true;
+        let RunPlan { mut journal, fleet } = plan;
+        let mut ecfg = self.cfg.engine_cfg();
+        ecfg.fault = self.fault.clone();
+        // The journal and the fleet's commit broadcast both consume the
+        // per-stage commit deltas.
+        ecfg.capture_deltas = journal.is_some() || fleet.is_some();
         let mut engine = Engine::new(lp, ecfg, false);
-        let header = self.journal_header_for(&engine);
-        journal.set_fault(self.fault.clone());
-        journal.append_header(&header).map_err(RlrpdError::from)?;
-        let mut sink = Some(JournalSink::new(journal));
-        let (report, arcs) = self.drive(&mut engine, 0, &mut sink)?;
-        let result = self.finish(&mut engine, report, arcs);
-        self.pr.add(&result.report);
-        Ok(result)
-    }
+        let codec = journal
+            .as_ref()
+            .map(|s| s.codec)
+            .or(fleet.as_ref().map(|f| f.2));
+        let header = codec.map(|c| self.journal_header_for(&engine, c));
 
-    /// Resume an interrupted journaled run of `lp`: validate the
-    /// journal's header against this configuration, replay the
-    /// committed deltas to reconstruct the shared arrays exactly as
-    /// they stood at the last durable commit point, and continue
-    /// speculation from the frontier (appending further records to the
-    /// same journal). A journal whose last record already completes the
-    /// run returns the final arrays without executing anything.
-    ///
-    /// The checkpoint policy is *not* part of the journal's identity: a
-    /// run recorded under [`CheckpointPolicy::Eager`] resumes under
-    /// [`CheckpointPolicy::OnDemand`] and vice versa (commit deltas are
-    /// policy-independent). Everything else — loop shape, array layout,
-    /// element type, strategy, processor count — must match, or the
-    /// resume is rejected with [`JournalError::Mismatch`].
-    pub fn resume<T: Value + JournalElem>(
-        &mut self,
-        lp: &dyn SpecLoop<T>,
-        journal: &mut Journal,
-    ) -> Result<RunResult<T>, RlrpdError> {
-        let mut ecfg = self.engine_cfg();
-        ecfg.capture_deltas = true;
-        let mut engine = Engine::new(lp, ecfg, false);
-        let recorded = journal.header().cloned().ok_or(JournalError::NoHeader)?;
-        let expected = self.journal_header_for(&engine);
-        if recorded != expected {
-            let message = if recorded.n != expected.n {
-                format!("iteration count {} != {}", recorded.n, expected.n)
-            } else if recorded.p != expected.p {
-                format!("processor count {} != {}", recorded.p, expected.p)
-            } else if recorded.strategy_hash != expected.strategy_hash {
-                "strategy fingerprint differs".into()
-            } else if recorded.elem_hash != expected.elem_hash {
-                "element type differs".into()
-            } else {
-                "array layout differs".into()
-            };
-            return Err(JournalError::Mismatch { message }.into());
-        }
-
-        // Replay every committed delta over the initial arrays: shared
-        // state becomes exactly the state at the recovered frontier
-        // (post-stage state = pre-stage state + delta, inductively).
-        let mut frontier = 0usize;
+        let mut resumed_at = None;
         let mut exited = None;
         let mut fell_back = false;
-        for rec in journal.commits() {
-            for (id, elems) in &rec.arrays {
-                let buf = engine.shared[*id as usize].as_mut_slice();
-                for &(elem, bits) in elems {
-                    buf[elem as usize] = T::from_bits(bits);
+        if let (Some(sink), Some(header)) = (journal.as_mut(), &header) {
+            sink.journal.set_fault(self.fault.clone());
+            match sink.journal.header() {
+                None => {
+                    sink.journal.append_header(header)?;
+                }
+                Some(recorded) => {
+                    recorded.expect_match(header)?;
+                    // Replay every committed delta over the initial
+                    // arrays: shared state becomes exactly the state at
+                    // the recovered frontier (post-stage state =
+                    // pre-stage state + delta, inductively).
+                    let mut frontier = 0usize;
+                    for rec in sink.journal.commits() {
+                        for (id, elems) in &rec.arrays {
+                            let buf = engine.shared[*id as usize].as_mut_slice();
+                            for &(elem, bits) in elems {
+                                buf[elem as usize] = (sink.codec.from_bits)(bits);
+                            }
+                        }
+                        frontier = rec.frontier;
+                        exited = rec.exited_at;
+                        fell_back = fell_back || rec.fallback;
+                    }
+                    engine.stage_ordinal = sink.journal.commits().len();
+                    resumed_at = Some(frontier);
                 }
             }
-            frontier = rec.frontier;
-            exited = rec.exited_at;
-            fell_back = fell_back || rec.fallback;
         }
-        engine.stage_ordinal = journal.commits().len();
 
-        let resumed_from = frontier;
-        let complete = fell_back || exited.is_some() || frontier >= engine.n;
+        let start = resumed_at.unwrap_or(0);
+        let complete = resumed_at.is_some() && (fell_back || exited.is_some() || start >= engine.n);
         let (mut report, arcs) = if complete {
             let report = RunReport {
                 sequential_work: engine.sequential_work(),
@@ -582,135 +597,20 @@ impl Runner {
             };
             (report, Vec::new())
         } else {
-            journal.set_fault(self.fault.clone());
-            let mut sink = Some(JournalSink::new(journal));
-            self.drive(&mut engine, frontier, &mut sink)?
-        };
-        report.resumed_at = Some(resumed_from);
-        let result = self.finish(&mut engine, report, arcs);
-        self.pr.add(&result.report);
-        Ok(result)
-    }
-
-    /// Execute one instantiation of `lp` with every stage's blocks
-    /// dispatched to an external worker fleet obtained from `connector`
-    /// (the supervisor/worker execution mode). `spec` must be a loop
-    /// spec the workers can resolve to the *same* loop as `lp`.
-    ///
-    /// Robustness contract: a lost fleet — workers dead, hung, or
-    /// divergent beyond the connector's respawn budget, or a fleet that
-    /// never launched — is **never** an error. The run degrades to the
-    /// in-process pooled path mid-stage without losing committed work
-    /// (blocks are idempotent over the committed prefix) and records
-    /// [`FallbackReason::WorkerLoss`] on the report.
-    pub fn try_run_distributed<T: Value + JournalElem>(
-        &mut self,
-        lp: &dyn SpecLoop<T>,
-        spec: &str,
-        connector: &mut dyn DistConnector,
-    ) -> Result<RunResult<T>, RlrpdError> {
-        let mut ecfg = self.engine_cfg();
-        // Workers mirror commits via the same deltas the journal uses.
-        ecfg.capture_deltas = true;
-        let mut engine = Engine::new(lp, ecfg, false);
-        let header = self.journal_header_for(&engine);
-        remote::attach_remote(&mut engine, &header, spec, connector);
-        let (mut report, arcs) = self.drive(&mut engine, 0, &mut None)?;
-        remote::release_remote(&mut engine, &mut report);
-        let result = self.finish(&mut engine, report, arcs);
-        self.pr.add(&result.report);
-        Ok(result)
-    }
-
-    /// [`Runner::try_run_distributed`] combined with
-    /// [`Runner::try_run_journaled`]: distributed execution whose
-    /// commits are also written ahead to a crash journal. On a fresh
-    /// journal the wire broadcast and the disk journal carry
-    /// byte-identical record chains.
-    pub fn try_run_distributed_journaled<T: Value + JournalElem>(
-        &mut self,
-        lp: &dyn SpecLoop<T>,
-        spec: &str,
-        connector: &mut dyn DistConnector,
-        journal: &mut Journal,
-    ) -> Result<RunResult<T>, RlrpdError> {
-        if !journal.is_empty() {
-            return Err(JournalError::NotEmpty.into());
-        }
-        let mut ecfg = self.engine_cfg();
-        ecfg.capture_deltas = true;
-        let mut engine = Engine::new(lp, ecfg, false);
-        let header = self.journal_header_for(&engine);
-        remote::attach_remote(&mut engine, &header, spec, connector);
-        journal.set_fault(self.fault.clone());
-        journal.append_header(&header).map_err(RlrpdError::from)?;
-        let mut sink = Some(JournalSink::new(journal));
-        let (mut report, arcs) = self.drive(&mut engine, 0, &mut sink)?;
-        remote::release_remote(&mut engine, &mut report);
-        let result = self.finish(&mut engine, report, arcs);
-        self.pr.add(&result.report);
-        Ok(result)
-    }
-
-    /// [`Runner::resume`] with distributed execution of the remainder:
-    /// replay the journal's committed prefix locally, then bring a
-    /// fresh worker fleet up to the frontier with one synthetic
-    /// full-state broadcast and continue dispatching stages to it.
-    pub fn resume_distributed<T: Value + JournalElem>(
-        &mut self,
-        lp: &dyn SpecLoop<T>,
-        spec: &str,
-        connector: &mut dyn DistConnector,
-        journal: &mut Journal,
-    ) -> Result<RunResult<T>, RlrpdError> {
-        let mut ecfg = self.engine_cfg();
-        ecfg.capture_deltas = true;
-        let mut engine = Engine::new(lp, ecfg, false);
-        let recorded = journal.header().cloned().ok_or(JournalError::NoHeader)?;
-        let expected = self.journal_header_for(&engine);
-        if recorded != expected {
-            return Err(JournalError::Mismatch {
-                message: "journal does not describe this loop/configuration".into(),
-            }
-            .into());
-        }
-        let mut frontier = 0usize;
-        let mut exited = None;
-        let mut fell_back = false;
-        for rec in journal.commits() {
-            for (id, elems) in &rec.arrays {
-                let buf = engine.shared[*id as usize].as_mut_slice();
-                for &(elem, bits) in elems {
-                    buf[elem as usize] = T::from_bits(bits);
+            if let (Some((spec, connector, codec)), Some(header)) = (fleet, &header) {
+                remote::attach_remote(&mut engine, header, spec, connector, codec);
+                if resumed_at.is_some() {
+                    // One synthetic record carries the replayed state to
+                    // the fleet (the wire chain restarts at the hello; it
+                    // need not match the on-disk chain of the pre-crash
+                    // records).
+                    let delta = engine.full_state_delta();
+                    engine.broadcast_commit(start, None, false, &delta);
                 }
             }
-            frontier = rec.frontier;
-            exited = rec.exited_at;
-            fell_back = fell_back || rec.fallback;
-        }
-        engine.stage_ordinal = journal.commits().len();
-
-        let resumed_from = frontier;
-        let complete = fell_back || exited.is_some() || frontier >= engine.n;
-        let (mut report, arcs) = if complete {
-            let report = RunReport {
-                sequential_work: engine.sequential_work(),
-                exited_at: exited,
-                ..Default::default()
-            };
-            (report, Vec::new())
-        } else {
-            remote::attach_remote(&mut engine, &expected, spec, connector);
-            // One synthetic record carries the replayed state to the
-            // fleet (the wire chain restarts at the hello; it need not
-            // match the on-disk chain of the pre-crash records).
-            let delta = engine.full_state_delta();
-            engine.broadcast_commit(frontier, None, false, &delta);
-            journal.set_fault(self.fault.clone());
-            let mut sink = Some(JournalSink::new(journal));
-            self.drive(&mut engine, frontier, &mut sink)?
+            self.drive(&mut engine, start, &mut journal)?
         };
-        report.resumed_at = Some(resumed_from);
+        report.resumed_at = resumed_at;
         remote::release_remote(&mut engine, &mut report);
         let result = self.finish(&mut engine, report, arcs);
         self.pr.add(&result.report);
@@ -718,12 +618,16 @@ impl Runner {
     }
 
     /// The journal header describing this (loop, configuration) pair.
-    fn journal_header_for<T: Value + JournalElem>(&self, engine: &Engine<'_, T>) -> JournalHeader {
+    fn journal_header_for<T: Value>(
+        &self,
+        engine: &Engine<'_, T>,
+        codec: ElemCodec<T>,
+    ) -> JournalHeader {
         JournalHeader {
             n: engine.n,
             p: self.cfg.p,
             strategy_hash: journal::strategy_fingerprint(&self.cfg.strategy, self.cfg.p),
-            elem_hash: journal::elem_fingerprint::<T>(),
+            elem_hash: codec.fingerprint,
             arrays: engine.layout(),
         }
     }
@@ -929,7 +833,7 @@ impl Runner {
                     .last()
                     .is_some_and(|last| last.loop_time > last.overhead.total()),
                 Strategy::SlidingWindow(_) | Strategy::Doacross(_) => {
-                    unreachable!("handled in run()")
+                    unreachable!("handled in drive()")
                 }
             };
             schedule = if redistribute {
@@ -991,7 +895,7 @@ impl Runner {
 
 /// One-shot convenience: run `lp` once under `cfg`.
 pub fn run_speculative<T: Value>(lp: &dyn SpecLoop<T>, cfg: RunConfig) -> RunResult<T> {
-    Runner::new(cfg).run(lp)
+    try_run_speculative(lp, cfg).unwrap_or_else(|e| panic!("speculative run failed: {e}"))
 }
 
 /// Fallible one-shot convenience: run `lp` once under `cfg`, surfacing
@@ -1000,7 +904,7 @@ pub fn try_run_speculative<T: Value>(
     lp: &dyn SpecLoop<T>,
     cfg: RunConfig,
 ) -> Result<RunResult<T>, RlrpdError> {
-    Runner::new(cfg).try_run(lp)
+    Runner::new(cfg).execute(lp, RunPlan::default())
 }
 
 /// Append one stage's commit record (write-ahead) when a journal sink
@@ -1107,13 +1011,13 @@ mod tests {
     fn config_builders_compose() {
         let cfg = RunConfig::new(4)
             .with_strategy(Strategy::Rd)
-            .with_exec(ExecMode::Threads)
+            .with_exec(ExecMode::Pooled)
             .with_checkpoint(CheckpointPolicy::Eager)
             .with_balance(BalancePolicy::FeedbackTrend)
             .with_cost(CostModel::work_only(3.0));
         assert_eq!(cfg.p, 4);
         assert_eq!(cfg.strategy, Strategy::Rd);
-        assert_eq!(cfg.exec, ExecMode::Threads);
+        assert_eq!(cfg.exec, ExecMode::Pooled);
         assert_eq!(cfg.checkpoint, CheckpointPolicy::Eager);
         assert_eq!(cfg.balance, BalancePolicy::FeedbackTrend);
         assert_eq!(cfg.cost.omega, 3.0);
@@ -1176,15 +1080,6 @@ mod tests {
                 "stage {k} must not redistribute when overhead dominates"
             );
         }
-    }
-
-    #[test]
-    fn one_shot_helper_equals_fresh_runner() {
-        let lp = alpha_half(128);
-        let a = run_speculative(&lp, RunConfig::new(4));
-        let b = Runner::new(RunConfig::new(4)).run(&lp);
-        assert_eq!(a.arrays, b.arrays);
-        assert_eq!(a.report.stages.len(), b.report.stages.len());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! fully committed prefix (i.e. the iteration panics while running on
 //! state identical to sequential execution) is it a *genuine* program
 //! fault, and it surfaces as an [`RlrpdError`] from the fallible run
-//! surface ([`crate::Runner::try_run`]) rather than an unwind.
+//! surface ([`crate::Runner::execute`]) rather than an unwind.
 
 /// A structured failure of a speculative run.
 ///

@@ -5,11 +5,11 @@
 //! commit frontier is permanently correct — this module makes
 //! "permanently" survive the process. At every stage commit point the
 //! driver appends one self-describing record to an append-only journal
-//! file; after a SIGKILL, OOM-kill, or reboot, [`crate::Runner::resume`]
-//! replays the valid prefix, reconstructs the shared arrays exactly as
-//! they stood at the last commit point, and continues speculation from
-//! the frontier. Final arrays are byte-identical to an uninterrupted
-//! run.
+//! file; after a SIGKILL, OOM-kill, or reboot, [`crate::Runner::execute`]
+//! over the reopened journal replays the valid prefix, reconstructs the
+//! shared arrays exactly as they stood at the last commit point, and
+//! continues speculation from the frontier. Final arrays are
+//! byte-identical to an uninterrupted run.
 //!
 //! ## On-disk format
 //!
@@ -195,6 +195,26 @@ pub struct JournalHeader {
 }
 
 impl JournalHeader {
+    /// Reject a resume whose (loop, configuration) pair is not the one
+    /// this header recorded, naming the first field that differs.
+    pub(crate) fn expect_match(&self, expected: &JournalHeader) -> Result<(), JournalError> {
+        if self == expected {
+            return Ok(());
+        }
+        let message = if self.n != expected.n {
+            format!("iteration count {} != {}", self.n, expected.n)
+        } else if self.p != expected.p {
+            format!("processor count {} != {}", self.p, expected.p)
+        } else if self.strategy_hash != expected.strategy_hash {
+            "strategy fingerprint differs".into()
+        } else if self.elem_hash != expected.elem_hash {
+            "element type differs".into()
+        } else {
+            "array layout differs".into()
+        };
+        Err(JournalError::Mismatch { message })
+    }
+
     /// Record bytes chained onto `prev_chain` (also the wire image of
     /// the distributed Hello payload).
     pub(crate) fn encode(&self, prev_chain: u64) -> Vec<u8> {
@@ -684,27 +704,40 @@ pub(crate) fn elem_fingerprint<T: JournalElem>() -> u64 {
     fnv(T::TAG.as_bytes())
 }
 
-/// Type-erasing adapter between the generic drivers (`T: Value`) and
-/// the bit-level journal: constructed only where `T: JournalElem` is
-/// known, then threaded through drivers as a plain `fn`-pointer
-/// converter so the drivers themselves stay `T: Value`.
-pub(crate) struct JournalSink<'j, T> {
-    journal: &'j mut Journal,
-    to_bits: fn(T) -> u64,
+/// The bit-level image of a journal element type, captured as `fn`
+/// pointers where `T: JournalElem` is known so that the drivers and
+/// the engine themselves stay `T: Value`.
+#[derive(Clone, Copy)]
+pub(crate) struct ElemCodec<T> {
+    /// [`JournalElem::to_bits`].
+    pub to_bits: fn(T) -> u64,
+    /// [`JournalElem::from_bits`].
+    pub from_bits: fn(u64) -> T,
+    /// FNV fingerprint of [`JournalElem::TAG`].
+    pub fingerprint: u64,
 }
 
-impl<'j, T: Value> JournalSink<'j, T> {
-    /// Build a sink over `journal` for element type `T`.
-    pub(crate) fn new(journal: &'j mut Journal) -> Self
-    where
-        T: JournalElem,
-    {
-        JournalSink {
-            journal,
+impl<T: JournalElem> ElemCodec<T> {
+    /// The codec of element type `T`.
+    pub(crate) fn of() -> Self {
+        ElemCodec {
             to_bits: T::to_bits,
+            from_bits: T::from_bits,
+            fingerprint: elem_fingerprint::<T>(),
         }
     }
+}
 
+/// Type-erasing adapter between the generic drivers (`T: Value`) and
+/// the bit-level journal.
+pub(crate) struct JournalSink<'j, T> {
+    /// The journal appended to.
+    pub journal: &'j mut Journal,
+    /// Bit images of the elements it records.
+    pub codec: ElemCodec<T>,
+}
+
+impl<T: Value> JournalSink<'_, T> {
     /// Append one stage's commit record assembled from the engine's
     /// [`StageDelta`]. Returns the bytes appended.
     pub(crate) fn append_stage(
@@ -720,7 +753,7 @@ impl<'j, T: Value> JournalSink<'j, T> {
             exited_at,
             fallback,
             &delta,
-            self.to_bits,
+            self.codec.to_bits,
         );
         self.journal.append_commit(rec)
     }

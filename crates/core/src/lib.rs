@@ -88,7 +88,7 @@ pub use ctx::IterCtx;
 pub use ddg::{extract_ddg, DdgResult, DepCollector, DepGraph, EdgeKind};
 pub use driver::{
     run_speculative, try_run_speculative, AdaptRule, BalancePolicy, DoacrossConfig, FallbackPolicy,
-    FallbackReason, RunConfig, RunResult, Runner, Strategy,
+    FallbackReason, RunConfig, RunPlan, RunResult, Runner, Strategy,
 };
 pub use engine::run_sequential;
 pub use error::RlrpdError;

@@ -18,7 +18,7 @@
 //!   periodic re-exploration so drifting dependence structure (input
 //!   changes between instantiations) is eventually noticed.
 
-use crate::driver::{AdaptRule, RunConfig, RunResult, Runner, Strategy};
+use crate::driver::{AdaptRule, RunConfig, RunPlan, RunResult, Runner, Strategy};
 use crate::report::RunReport;
 use crate::spec_loop::SpecLoop;
 use crate::value::Value;
@@ -208,7 +208,10 @@ impl PredictiveRunner {
             self.runner = Runner::new(self.base_cfg.with_strategy(strategy));
             self.runner.pr = pr;
         }
-        let result = self.runner.run(lp);
+        let result = self
+            .runner
+            .execute(lp, RunPlan::default())
+            .unwrap_or_else(|e| panic!("speculative run failed: {e}"));
         self.predictor.observe(strategy, &result.report);
         result
     }

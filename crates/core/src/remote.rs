@@ -52,7 +52,9 @@ use crate::checkpoint::CheckpointPolicy;
 use crate::ctx::IterCtx;
 use crate::driver::FallbackReason;
 use crate::engine::{Engine, EngineCfg, FaultEvent, StageDelta};
-use crate::journal::{elem_fingerprint, record_from_delta, JournalElem, JournalHeader, CHAIN_SEED};
+use crate::journal::{
+    elem_fingerprint, record_from_delta, ElemCodec, JournalElem, JournalHeader, CHAIN_SEED,
+};
 use crate::persist::{
     fnv, PersistError, Reader, Writer, KIND_DIST_HEARTBEAT, KIND_DIST_HELLO, KIND_DIST_REPLY,
     KIND_DIST_REQUEST, KIND_DIST_SHUTDOWN, KIND_JOURNAL_COMMIT,
@@ -665,11 +667,8 @@ pub(crate) struct RemoteLink<T> {
     pub chain: u64,
     /// Commit records broadcast so far (stage ordinal of the next one).
     pub commits: usize,
-    /// Element-type bit converters (captured where `T: JournalElem` is
-    /// known, so the engine itself stays `T: Value`).
-    pub to_bits: fn(T) -> u64,
-    /// Inverse of `to_bits`.
-    pub from_bits: fn(u64) -> T,
+    /// Element-type bit converters.
+    pub codec: ElemCodec<T>,
 }
 
 impl<T: Value> Engine<'_, T> {
@@ -707,7 +706,7 @@ impl<T: Value> Engine<'_, T> {
             stats.wire_bytes += t.wire_bytes;
             stats.respawns += t.respawns;
             stats.quarantined += t.quarantined;
-            (replies?, link.from_bits, link.chain)
+            (replies?, link.codec.from_bits, link.chain)
         };
         let wall_seconds = start.elapsed().as_secs_f64();
 
@@ -820,7 +819,7 @@ impl<T: Value> Engine<'_, T> {
             exited_at,
             fallback,
             delta,
-            link.to_bits,
+            link.codec.to_bits,
         );
         let bytes = rec.encode(link.chain);
         match link.dispatcher.broadcast(&bytes) {
@@ -846,14 +845,15 @@ pub(crate) fn fresh_run_id() -> u64 {
     ((std::process::id() as u64) << 32) | (NEXT.fetch_add(1, Ordering::Relaxed) & 0xffff_ffff)
 }
 
-/// Attach a worker fleet to `engine` (called by the distributed run
-/// entry points before driving). A connector failure records a worker
+/// Attach a worker fleet to `engine` (called by [`crate::Runner::execute`]
+/// before driving a fleet plan). A connector failure records a worker
 /// loss and leaves the engine on its in-process path.
-pub(crate) fn attach_remote<T: Value + JournalElem>(
+pub(crate) fn attach_remote<T: Value>(
     engine: &mut Engine<'_, T>,
     header: &JournalHeader,
     spec: &str,
     connector: &mut dyn DistConnector,
+    codec: ElemCodec<T>,
 ) {
     let hello = WireHello {
         protocol: PROTOCOL_VERSION,
@@ -870,8 +870,7 @@ pub(crate) fn attach_remote<T: Value + JournalElem>(
             engine.remote = Some(RemoteLink {
                 chain: fnv(&hello.header),
                 commits: 0,
-                to_bits: T::to_bits,
-                from_bits: T::from_bits,
+                codec,
                 dispatcher,
             });
         }
@@ -1590,7 +1589,9 @@ pub fn commit_frontier(record: &[u8]) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::array::{ArrayDecl, ArrayId, ShadowKind};
-    use crate::driver::{FallbackReason, RunConfig, Runner, Strategy};
+    use crate::driver::{
+        try_run_speculative, FallbackReason, RunConfig, RunPlan, Runner, Strategy,
+    };
     use crate::engine::run_sequential;
     use crate::spec_loop::ClosureLoop;
     use crate::window::WindowConfig;
@@ -1886,7 +1887,7 @@ mod tests {
         let lp = model_loop(n);
         let mut connector = LoopbackConnector::new(n);
         let got = Runner::new(cfg)
-            .try_run_distributed(&lp, "loopback", &mut connector)
+            .execute(&lp, RunPlan::default().fleet("loopback", &mut connector))
             .expect("distributed run");
         let (seq, _) = run_sequential(&lp);
         assert_eq!(got.arrays, seq, "distributed state differs from sequential");
@@ -1927,10 +1928,10 @@ mod tests {
             let lp = model_loop(n);
             let mut cfg = RunConfig::new(4);
             cfg.strategy = strategy;
-            let local = Runner::new(cfg).try_run(&lp).expect("in-process run");
+            let local = try_run_speculative(&lp, cfg).expect("in-process run");
             let mut connector = LoopbackConnector::new(n);
             let dist = Runner::new(cfg)
-                .try_run_distributed(&lp, "loopback", &mut connector)
+                .execute(&lp, RunPlan::default().fleet("loopback", &mut connector))
                 .expect("distributed run");
             assert_eq!(dist.arrays, local.arrays, "{strategy:?}");
             assert_eq!(dist.report.restarts, local.report.restarts, "{strategy:?}");
@@ -2025,7 +2026,7 @@ mod tests {
         let mut cfg = RunConfig::new(4);
         cfg.strategy = Strategy::Rd;
         let got = Runner::new(cfg)
-            .try_run_distributed(&lp, "loopback", &mut connector)
+            .execute(&lp, RunPlan::default().fleet("loopback", &mut connector))
             .expect("distributed run");
         let (seq, _) = run_sequential(&lp);
         assert_eq!(got.arrays, seq);
@@ -2040,7 +2041,10 @@ mod tests {
         let mut cfg = RunConfig::new(4);
         cfg.strategy = Strategy::Rd;
         let got = Runner::new(cfg)
-            .try_run_distributed(&lp, "loopback", &mut DeadConnector)
+            .execute(
+                &lp,
+                RunPlan::default().fleet("loopback", &mut DeadConnector),
+            )
             .expect("run must survive a dead connector");
         let (seq, _) = run_sequential(&lp);
         assert_eq!(got.arrays, seq);
@@ -2060,7 +2064,7 @@ mod tests {
         // in-process, and the run completes correctly.
         connector.corrupt_at = vec![4];
         let got = Runner::new(cfg)
-            .try_run_distributed(&lp, "loopback", &mut connector)
+            .execute(&lp, RunPlan::default().fleet("loopback", &mut connector))
             .expect("run must survive divergence");
         let (seq, _) = run_sequential(&lp);
         assert_eq!(got.arrays, seq);

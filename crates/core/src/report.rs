@@ -15,7 +15,7 @@ pub struct RunReport {
     /// Σ of per-iteration useful work — the virtual time of a sequential
     /// execution and the denominator of [`RunReport::speedup`].
     pub sequential_work: f64,
-    /// Wall-clock seconds of the parallel sections (threads mode only).
+    /// Wall-clock seconds of the parallel sections (0.0 when simulated).
     pub wall_seconds: f64,
     /// Last executed iteration when the loop exited prematurely.
     pub exited_at: Option<usize>,

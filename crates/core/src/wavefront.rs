@@ -81,7 +81,7 @@ pub struct WavefrontReport {
     pub virtual_time: f64,
     /// Σ of per-iteration work — sequential time.
     pub sequential_work: f64,
-    /// Wall-clock seconds of the parallel sections (threads mode).
+    /// Wall-clock seconds of the parallel sections (pooled mode).
     pub wall_seconds: f64,
 }
 

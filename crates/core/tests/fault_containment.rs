@@ -17,9 +17,9 @@
 //!   execution of the remainder, again with byte-identical results.
 
 use rlrpd_core::{
-    run_sequential, ArrayDecl, ArrayId, CheckpointPolicy, ClosureLoop, ExecMode, FallbackPolicy,
-    FallbackReason, FaultPlan, RlrpdError, RunConfig, Runner, ShadowKind, SpecLoop, Strategy,
-    WindowConfig,
+    run_sequential, run_speculative, try_run_speculative, ArrayDecl, ArrayId, CheckpointPolicy,
+    ClosureLoop, ExecMode, FallbackPolicy, FallbackReason, FaultPlan, RlrpdError, RunConfig,
+    RunPlan, Runner, ShadowKind, SpecLoop, Strategy, WindowConfig,
 };
 use rlrpd_core::{AdaptRule, RunResult};
 use std::panic::resume_unwind;
@@ -89,7 +89,9 @@ fn run_with_plan(
     cfg: RunConfig,
     plan: FaultPlan,
 ) -> Result<RunResult<i64>, RlrpdError> {
-    Runner::new(cfg).with_fault(Arc::new(plan)).try_run(lp)
+    Runner::new(cfg)
+        .with_fault(Arc::new(plan))
+        .execute(lp, RunPlan::default())
 }
 
 /// Assert that a run with `plan` injected completes, matches the
@@ -140,12 +142,11 @@ fn seeded_panics_are_contained_under_every_strategy() {
 #[test]
 fn seeded_panics_are_contained_on_real_executors() {
     let lp = dep3_loop(64);
-    for mode in [ExecMode::Threads, ExecMode::Pooled] {
-        for seed in seeds() {
-            let cfg = RunConfig::new(4).with_exec(mode);
-            let plan = FaultPlan::seeded_panic(seed, lp.num_iters());
-            assert_contained(&lp, cfg, plan, &format!("mode={mode:?} seed={seed}"));
-        }
+    let mode = ExecMode::Pooled;
+    for seed in seeds() {
+        let cfg = RunConfig::new(4).with_exec(mode);
+        let plan = FaultPlan::seeded_panic(seed, lp.num_iters());
+        assert_contained(&lp, cfg, plan, &format!("mode={mode:?} seed={seed}"));
     }
 }
 
@@ -218,8 +219,7 @@ fn genuine_fault_surfaces_as_program_fault_not_abort() {
     };
     for strategy in strategies() {
         for p in [1usize, 4] {
-            let err = Runner::new(RunConfig::new(p).with_strategy(strategy))
-                .try_run(&mk())
+            let err = try_run_speculative(&mk(), RunConfig::new(p).with_strategy(strategy))
                 .expect_err("a deterministic panic must not silently succeed");
             match err {
                 RlrpdError::ProgramFault { iter, message } => {
@@ -252,9 +252,7 @@ fn genuine_fault_is_reported_through_the_sequential_fallback_too() {
         },
     );
     let cfg = RunConfig::new(4).with_fallback(FallbackPolicy::default().with_max_restarts(0));
-    let err = Runner::new(cfg)
-        .try_run(&lp)
-        .expect_err("fallback re-executes the bug sequentially");
+    let err = try_run_speculative(&lp, cfg).expect_err("fallback re-executes the bug sequentially");
     match err {
         RlrpdError::ProgramFault { iter, .. } => assert_eq!(iter, 37),
         other => panic!("expected ProgramFault, got {other}"),
@@ -269,9 +267,8 @@ fn restart_budget_degrades_to_sequential_with_correct_arrays() {
         let cfg = RunConfig::new(4)
             .with_strategy(strategy)
             .with_fallback(FallbackPolicy::default().with_max_restarts(0));
-        let res = Runner::new(cfg)
-            .try_run(&lp)
-            .unwrap_or_else(|e| panic!("strategy={strategy:?}: {e}"));
+        let res =
+            try_run_speculative(&lp, cfg).unwrap_or_else(|e| panic!("strategy={strategy:?}: {e}"));
         assert_eq!(
             res.report.fallback,
             Some(FallbackReason::MaxRestarts),
@@ -346,8 +343,7 @@ fn stage_limit_is_an_error_not_a_hang() {
     let lp = dep3_loop(64);
     let mut cfg = RunConfig::new(4);
     cfg.max_stages = 1;
-    let err = Runner::new(cfg)
-        .try_run(&lp)
+    let err = try_run_speculative(&lp, cfg)
         .expect_err("one stage cannot finish a partially parallel loop");
     assert!(matches!(err, RlrpdError::StageLimit { max_stages: 1 }));
 }
@@ -357,10 +353,12 @@ fn default_policy_never_changes_a_fault_free_run() {
     // FallbackPolicy::default() must be inert: same decisions as a run
     // with no policy knobs touched at all.
     let lp = dep3_loop(72);
-    let base = Runner::new(RunConfig::new(4)).run(&lp);
-    let with_default = Runner::new(RunConfig::new(4).with_fallback(FallbackPolicy::default()))
-        .try_run(&lp)
-        .expect("default policy is inert");
+    let base = run_speculative(&lp, RunConfig::new(4));
+    let with_default = try_run_speculative(
+        &lp,
+        RunConfig::new(4).with_fallback(FallbackPolicy::default()),
+    )
+    .expect("default policy is inert");
     assert_eq!(base.array("A"), with_default.array("A"));
     assert_eq!(base.report.restarts, with_default.report.restarts);
     assert_eq!(with_default.report.fallback, None);

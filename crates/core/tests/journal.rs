@@ -11,8 +11,9 @@
 //! continuation byte-identical no matter where speculation restarts.
 
 use rlrpd_core::{
-    ArrayDecl, ArrayId, ClosureLoop, FaultPlan, Journal, JournalError, RlrpdError, RunConfig,
-    Runner, Strategy, WindowConfig,
+    run_speculative, ArrayDecl, ArrayId, BlockDispatcher, ClosureLoop, DistConnector,
+    FallbackReason, FaultPlan, Journal, JournalError, RlrpdError, RunConfig, RunPlan, Runner,
+    Strategy, WindowConfig, WireHello,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -80,7 +81,7 @@ fn journaled_ground_truth(
     let path = tmp(name);
     let mut journal = Journal::create(&path).unwrap();
     let res = Runner::new(cfg)
-        .try_run_journaled(lp, &mut journal)
+        .execute(lp, RunPlan::default().journal(&mut journal))
         .unwrap();
     assert!(
         res.report.journal_bytes() > 0,
@@ -110,7 +111,9 @@ fn resume_from_every_record_prefix_is_byte_identical() {
             std::fs::write(&path, &bytes[..cut]).unwrap();
             let mut journal = Journal::open(&path).unwrap();
             assert_eq!(journal.truncated_bytes(), 0, "boundary cuts are clean");
-            let res = Runner::new(cfg).resume(&lp, &mut journal).unwrap();
+            let res = Runner::new(cfg)
+                .execute(&lp, RunPlan::default().journal(&mut journal))
+                .unwrap();
             assert_eq!(
                 res.arrays, want,
                 "{strategy:?}: resume after record {r} diverged"
@@ -141,7 +144,9 @@ fn resume_from_every_torn_byte_offset_is_byte_identical() {
             continue;
         }
         let mut journal = Journal::open(&path).unwrap();
-        let res = Runner::new(cfg).resume(&lp, &mut journal).unwrap();
+        let res = Runner::new(cfg)
+            .execute(&lp, RunPlan::default().journal(&mut journal))
+            .unwrap();
         assert_eq!(res.arrays, want, "torn write at byte {cut} diverged");
     }
     std::fs::remove_file(&path).ok();
@@ -164,7 +169,7 @@ fn injected_short_write_then_resume_is_byte_identical() {
                 let mut journal = Journal::create(&path).unwrap();
                 let err = Runner::new(cfg)
                     .with_fault(Arc::new(FaultPlan::new().short_write_at(r, keep)))
-                    .try_run_journaled(&lp, &mut journal)
+                    .execute(&lp, RunPlan::default().journal(&mut journal))
                     .unwrap_err();
                 assert!(
                     matches!(err, RlrpdError::Journal { .. }),
@@ -174,7 +179,9 @@ fn injected_short_write_then_resume_is_byte_identical() {
 
                 let mut journal = Journal::open(&path).unwrap();
                 assert_eq!(journal.records(), r, "valid prefix ends before record {r}");
-                let res = Runner::new(cfg).resume(&lp, &mut journal).unwrap();
+                let res = Runner::new(cfg)
+                    .execute(&lp, RunPlan::default().journal(&mut journal))
+                    .unwrap();
                 assert_eq!(
                     res.arrays, want,
                     "{strategy:?}: resume after crash at record {r} diverged"
@@ -197,7 +204,7 @@ fn injected_fsync_failure_then_resume_is_byte_identical() {
         let mut journal = Journal::create(&path).unwrap();
         let err = Runner::new(cfg)
             .with_fault(Arc::new(FaultPlan::new().fsync_fail_at(r)))
-            .try_run_journaled(&lp, &mut journal)
+            .execute(&lp, RunPlan::default().journal(&mut journal))
             .unwrap_err();
         assert!(matches!(err, RlrpdError::Journal { .. }), "r={r}: {err:?}");
         drop(journal);
@@ -207,7 +214,9 @@ fn injected_fsync_failure_then_resume_is_byte_identical() {
         // crash is covered by the short-write case). Either way the
         // resumed run must match.
         let mut journal = Journal::open(&path).unwrap();
-        let res = Runner::new(cfg).resume(&lp, &mut journal).unwrap();
+        let res = Runner::new(cfg)
+            .execute(&lp, RunPlan::default().journal(&mut journal))
+            .unwrap();
         assert_eq!(res.arrays, want, "resume after fsync failure at {r}");
         std::fs::remove_file(&path).ok();
     }
@@ -226,7 +235,7 @@ fn injected_silent_corruption_is_detected_on_resume() {
         // Silent media corruption: the run itself completes normally…
         let res = Runner::new(cfg)
             .with_fault(Arc::new(FaultPlan::new().corrupt_record_at(r)))
-            .try_run_journaled(&lp, &mut journal)
+            .execute(&lp, RunPlan::default().journal(&mut journal))
             .unwrap();
         assert_eq!(res.arrays, want, "corruption is silent during the run");
         drop(journal);
@@ -236,10 +245,18 @@ fn injected_silent_corruption_is_detected_on_resume() {
         let mut journal = Journal::open(&path).unwrap();
         assert!(journal.truncated_bytes() > 0, "r={r}: corruption detected");
         assert_eq!(journal.records(), r);
-        let res = Runner::new(cfg).resume(&lp, &mut journal).unwrap();
+        let res = Runner::new(cfg)
+            .execute(&lp, RunPlan::default().journal(&mut journal))
+            .unwrap();
         assert_eq!(res.arrays, want, "resume after corruption at {r}");
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// `err` is a [`JournalError::Mismatch`] naming `field`.
+fn mismatch_names(err: &RlrpdError, field: &str) -> bool {
+    matches!(err, RlrpdError::Journal { message }
+        if message.contains("does not match this run") && message.contains(field))
 }
 
 #[test]
@@ -248,31 +265,82 @@ fn resume_rejects_mismatched_configurations() {
     let cfg = RunConfig::new(4).with_strategy(Strategy::Nrd);
     let path = tmp("mismatch");
     let mut journal = Journal::create(&path).unwrap();
-    Runner::new(cfg)
-        .try_run_journaled(&lp, &mut journal)
-        .unwrap();
+    let want = Runner::new(cfg)
+        .execute(&lp, RunPlan::default().journal(&mut journal))
+        .unwrap()
+        .arrays;
     drop(journal);
 
-    // Different strategy, processor count, or loop shape: rejected.
-    for bad in [
-        RunConfig::new(4).with_strategy(Strategy::Rd),
-        RunConfig::new(8).with_strategy(Strategy::Nrd),
+    // Different strategy, processor count, or loop shape: rejected, and
+    // the error names the field that differs.
+    for (bad, field) in [
+        (RunConfig::new(4).with_strategy(Strategy::Rd), "strategy"),
+        (
+            RunConfig::new(8).with_strategy(Strategy::Nrd),
+            "processor count",
+        ),
     ] {
         let mut journal = Journal::open(&path).unwrap();
-        let err = Runner::new(bad).resume(&lp, &mut journal).unwrap_err();
-        assert!(matches!(err, RlrpdError::Journal { .. }), "{err:?}");
+        let err = Runner::new(bad)
+            .execute(&lp, RunPlan::default().journal(&mut journal))
+            .unwrap_err();
+        assert!(mismatch_names(&err, field), "{err:?}");
     }
     let other = partially_parallel(128);
     let mut journal = Journal::open(&path).unwrap();
-    let err = Runner::new(cfg).resume(&other, &mut journal).unwrap_err();
-    assert!(matches!(err, RlrpdError::Journal { .. }), "{err:?}");
-
-    // A fresh journaled run over a used journal is rejected too.
-    let mut journal = Journal::open(&path).unwrap();
     let err = Runner::new(cfg)
-        .try_run_journaled(&lp, &mut journal)
+        .execute(&other, RunPlan::default().journal(&mut journal))
         .unwrap_err();
-    assert!(matches!(err, RlrpdError::Journal { .. }), "{err:?}");
+    assert!(mismatch_names(&err, "iteration count"), "{err:?}");
+
+    // Executing a complete journal again resumes it at its end: nothing
+    // runs and nothing is appended.
+    let mut journal = Journal::open(&path).unwrap();
+    let records = journal.records();
+    let res = Runner::new(cfg)
+        .execute(&lp, RunPlan::default().journal(&mut journal))
+        .unwrap();
+    assert_eq!(res.arrays, want);
+    assert!(res.report.stages.is_empty());
+    assert_eq!(journal.records(), records);
+    std::fs::remove_file(&path).ok();
+}
+
+/// A fleet that never launches: the run degrades to in-process
+/// execution. Counts launch attempts.
+struct NoFleet(usize);
+
+impl DistConnector for NoFleet {
+    fn connect(&mut self, _: &WireHello) -> Result<Box<dyn BlockDispatcher>, String> {
+        self.0 += 1;
+        Err("no workers in this test".into())
+    }
+}
+
+#[test]
+fn fleet_resume_names_the_mismatched_field_before_launching() {
+    let lp = partially_parallel(96);
+    let cfg = RunConfig::new(4).with_strategy(Strategy::Nrd);
+    let path = tmp("fleet-mismatch");
+    let mut journal = Journal::create(&path).unwrap();
+    let mut fleet = NoFleet(0);
+    let plan = RunPlan::default()
+        .journal(&mut journal)
+        .fleet("test", &mut fleet);
+    let res = Runner::new(cfg).execute(&lp, plan).unwrap();
+    assert_eq!(res.report.fallback, Some(FallbackReason::WorkerLoss));
+    assert_eq!(fleet.0, 1);
+    drop(journal);
+
+    let mut journal = Journal::open(&path).unwrap();
+    let plan = RunPlan::default()
+        .journal(&mut journal)
+        .fleet("test", &mut fleet);
+    let err = Runner::new(RunConfig::new(8).with_strategy(Strategy::Nrd))
+        .execute(&lp, plan)
+        .unwrap_err();
+    assert!(mismatch_names(&err, "processor count"), "{err:?}");
+    assert_eq!(fleet.0, 1, "a mismatched resume launches no fleet");
     std::fs::remove_file(&path).ok();
 }
 
@@ -283,11 +351,11 @@ fn journaled_and_plain_runs_agree() {
     let lp = partially_parallel(96);
     for strategy in strategies() {
         let cfg = RunConfig::new(4).with_strategy(strategy);
-        let plain = Runner::new(cfg).try_run(&lp).unwrap();
+        let plain = run_speculative(&lp, cfg);
         let path = tmp("invisible");
         let mut journal = Journal::create(&path).unwrap();
         let journaled = Runner::new(cfg)
-            .try_run_journaled(&lp, &mut journal)
+            .execute(&lp, RunPlan::default().journal(&mut journal))
             .unwrap();
         assert_eq!(plain.arrays, journaled.arrays, "{strategy:?}");
         assert_eq!(

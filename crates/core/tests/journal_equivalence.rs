@@ -9,8 +9,8 @@
 //! deliberately excluded from the journal header's identity.
 
 use rlrpd_core::{
-    ArrayDecl, ArrayId, CheckpointPolicy, ClosureLoop, Journal, RunConfig, Runner, ShadowKind,
-    Strategy, WindowConfig,
+    run_speculative, ArrayDecl, ArrayId, CheckpointPolicy, ClosureLoop, Journal, RunConfig,
+    RunPlan, Runner, ShadowKind, Strategy, WindowConfig,
 };
 use std::path::PathBuf;
 
@@ -74,7 +74,7 @@ fn eager_and_ondemand_write_identical_journal_records() {
                 let path = tmp(&format!("records-{seed}-{k}-{policy:?}"));
                 let mut journal = Journal::create(&path).unwrap();
                 let res = Runner::new(cfg)
-                    .try_run_journaled(&lp, &mut journal)
+                    .execute(&lp, RunPlan::default().journal(&mut journal))
                     .unwrap();
                 let bytes = std::fs::read(&path).unwrap();
                 std::fs::remove_file(&path).ok();
@@ -115,14 +115,14 @@ fn journal_resumes_across_checkpoint_policies() {
                     .with_checkpoint(res_policy);
 
                 // Ground truth: an uninterrupted run.
-                let want = Runner::new(rec_cfg).try_run(&lp).unwrap().arrays;
+                let want = run_speculative(&lp, rec_cfg).arrays;
 
                 // Record fully, then cut the journal back to its first
                 // two records (header + first commit) — a mid-run crash.
                 let path = tmp(&format!("xpolicy-{seed}-{k}-{rec_policy:?}"));
                 let mut journal = Journal::create(&path).unwrap();
                 Runner::new(rec_cfg)
-                    .try_run_journaled(&lp, &mut journal)
+                    .execute(&lp, RunPlan::default().journal(&mut journal))
                     .unwrap();
                 drop(journal);
                 let bytes = std::fs::read(&path).unwrap();
@@ -130,7 +130,9 @@ fn journal_resumes_across_checkpoint_policies() {
                 std::fs::write(&path, &bytes[..cut]).unwrap();
 
                 let mut journal = Journal::open(&path).unwrap();
-                let res = Runner::new(res_cfg).resume(&lp, &mut journal).unwrap();
+                let res = Runner::new(res_cfg)
+                    .execute(&lp, RunPlan::default().journal(&mut journal))
+                    .unwrap();
                 assert_eq!(
                     res.arrays, want,
                     "seed={seed} {strategy:?}: {rec_policy:?} -> {res_policy:?} resume diverged"

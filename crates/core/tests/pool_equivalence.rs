@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use rlrpd_core::view::ProcView;
 use rlrpd_core::{
     analyze_parallel, analyze_seq, run_speculative, ArrayDecl, ArrayId, ClosureLoop, ExecMode,
-    FaultPlan, Reduction, RunConfig, Runner, ShadowKind,
+    FaultPlan, Reduction, RunConfig, RunPlan, Runner, ShadowKind,
 };
 use rlrpd_runtime::Executor;
 use std::sync::Arc;
@@ -122,10 +122,9 @@ proptest! {
         };
         let per_iter = Arc::new(per_iter);
         let reference = decisions(&per_iter, kind, p, ExecMode::Simulated);
-        for mode in [ExecMode::Threads, ExecMode::Pooled] {
-            let got = decisions(&per_iter, kind, p, mode);
-            prop_assert_eq!(&got, &reference, "mode={:?} p={} kind={:?}", mode, p, kind);
-        }
+        let mode = ExecMode::Pooled;
+        let got = decisions(&per_iter, kind, p, mode);
+        prop_assert_eq!(&got, &reference, "mode={:?} p={} kind={:?}", mode, p, kind);
     }
 }
 
@@ -190,17 +189,16 @@ proptest! {
         let tested_ids = [0usize, 3];
         let seq = analyze_seq(&refs, &tested_ids);
         for p in 1..=16usize {
-            for mode in [ExecMode::Threads, ExecMode::Pooled] {
-                let ex = Executor::with_procs(mode, p);
-                let par = analyze_parallel(&refs, &tested_ids, &ex);
-                prop_assert_eq!(
-                    par.first_violation, seq.first_violation,
-                    "mode={:?} p={}", mode, p
-                );
-                prop_assert_eq!(&par.arcs, &seq.arcs, "mode={:?} p={}", mode, p);
-                prop_assert_eq!(par.max_touched, seq.max_touched, "mode={:?} p={}", mode, p);
-                prop_assert_eq!(par.total_touched, seq.total_touched, "mode={:?} p={}", mode, p);
-            }
+            let mode = ExecMode::Pooled;
+            let ex = Executor::with_procs(mode, p);
+            let par = analyze_parallel(&refs, &tested_ids, &ex);
+            prop_assert_eq!(
+                par.first_violation, seq.first_violation,
+                "mode={:?} p={}", mode, p
+            );
+            prop_assert_eq!(&par.arcs, &seq.arcs, "mode={:?} p={}", mode, p);
+            prop_assert_eq!(par.max_touched, seq.max_touched, "mode={:?} p={}", mode, p);
+            prop_assert_eq!(par.total_touched, seq.total_touched, "mode={:?} p={}", mode, p);
         }
     }
 }
@@ -230,15 +228,14 @@ fn commit_prefix_identical_across_modes_on_fixed_loop() {
                 "p={p}: loop should be partially parallel"
             );
         }
-        for mode in [ExecMode::Threads, ExecMode::Pooled] {
-            let got = run_speculative(&mk(), RunConfig::new(p).with_exec(mode));
-            assert_eq!(got.array("A"), reference.array("A"), "mode={mode:?} p={p}");
-            assert_eq!(
-                got.report.restarts, reference.report.restarts,
-                "mode={mode:?} p={p}"
-            );
-            assert_eq!(got.arcs, reference.arcs, "mode={mode:?} p={p}");
-        }
+        let mode = ExecMode::Pooled;
+        let got = run_speculative(&mk(), RunConfig::new(p).with_exec(mode));
+        assert_eq!(got.array("A"), reference.array("A"), "mode={mode:?} p={p}");
+        assert_eq!(
+            got.report.restarts, reference.report.restarts,
+            "mode={mode:?} p={p}"
+        );
+        assert_eq!(got.arcs, reference.arcs, "mode={mode:?} p={p}");
     }
 }
 
@@ -262,7 +259,7 @@ fn fault_injection_is_identical_across_modes() {
                 let plan = FaultPlan::seeded_panic(seed, 48);
                 let res = Runner::new(RunConfig::new(p).with_exec(mode))
                     .with_fault(Arc::new(plan))
-                    .try_run(&lp)
+                    .execute(&lp, RunPlan::default())
                     .expect("injected fault must be contained");
                 (
                     res.array("A").to_vec(),
@@ -277,9 +274,8 @@ fn fault_injection_is_identical_across_modes() {
             };
             let reference = run(ExecMode::Simulated);
             assert_eq!(reference.2, 1, "p={p} seed={seed}: fault must fire once");
-            for mode in [ExecMode::Threads, ExecMode::Pooled] {
-                assert_eq!(run(mode), reference, "mode={mode:?} p={p} seed={seed}");
-            }
+            let mode = ExecMode::Pooled;
+            assert_eq!(run(mode), reference, "mode={mode:?} p={p} seed={seed}");
         }
     }
 }

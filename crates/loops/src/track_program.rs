@@ -17,7 +17,7 @@ use crate::fptrak::{FptrakInput, FptrakLoop};
 use crate::nlfilt::{NlfiltInput, NlfiltLoop};
 use rlrpd_core::{
     run_induction, BalancePolicy, CheckpointPolicy, CostModel, ExecMode, PrAccumulator,
-    PredictiveRunner, RunConfig, Runner,
+    PredictiveRunner, RunConfig, RunPlan, Runner,
 };
 
 /// Fraction of TRACK's sequential time outside the three loops
@@ -118,7 +118,9 @@ impl TrackProgram {
         impl Driver {
             fn run(&mut self, lp: &dyn rlrpd_core::SpecLoop<f64>) -> rlrpd_core::RunResult<f64> {
                 match self {
-                    Driver::Fixed(r) => r.run(lp),
+                    Driver::Fixed(r) => r
+                        .execute(lp, RunPlan::default())
+                        .expect("TRACK loops have no genuine fault"),
                     Driver::Predictive(r) => r.run(lp),
                 }
             }

@@ -9,10 +9,9 @@
 //! * [`BlockSchedule`] — contiguous, increasing-order iteration blocks
 //!   (the paper requires static block scheduling so that partial work can
 //!   be committed in iteration order),
-//! * [`Executor`] — runs one speculative stage on real threads (one
-//!   scoped OS thread per virtual processor), on a persistent
-//!   work-stealing [`WorkerPool`] reused across stages and restarts, or
-//!   on a deterministic *simulated machine* with per-processor virtual
+//! * [`Executor`] — runs one speculative stage on the real threads of a
+//!   persistent work-stealing [`WorkerPool`] reused across stages and
+//!   restarts, or on a deterministic *simulated machine* with per-processor virtual
 //!   clocks (our substitution for the paper's 16-processor HP V2200;
 //!   see DESIGN.md §2),
 //! * [`CostModel`] — the (ω, ℓ, s) parameters of the paper's Section 4

@@ -41,7 +41,7 @@ use rlrpd_core::remote::{
 };
 use rlrpd_core::{
     run_sequential, AdaptRule, ExecMode, FaultPlan, FrameObserver, Journal, RlrpdError, RunConfig,
-    Runner, Strategy, WindowConfig,
+    RunPlan, Runner, Strategy, WindowConfig,
 };
 use rlrpd_dist::resolve_spec;
 use rlrpd_shadow::{BudgetLease, BudgetPool};
@@ -571,21 +571,12 @@ fn execute_job(job: &Arc<Job>, lease: &BudgetLease) -> Result<Outcome, JobStatus
     }
 
     let path = job.journal_path();
-    let (mut journal, resuming) = if path.exists() {
-        match Journal::open(&path) {
-            Ok(j) if j.header().is_some() => (j, true),
-            _ => {
-                // Unusable (headerless or unrecoverable) journal: a
-                // crash before the first durable record. Start over.
-                let _ = std::fs::remove_file(&path);
-                let j =
-                    Journal::create(&path).map_err(|e| fail(4, format!("journal create: {e}")))?;
-                (j, false)
-            }
-        }
-    } else {
-        let j = Journal::create(&path).map_err(|e| fail(4, format!("journal create: {e}")))?;
-        (j, false)
+    // A journal that opens holds a header, and executing it resumes the
+    // job. One that does not open (absent, headerless, unrecoverable) is
+    // a crash before the first durable record: start over.
+    let mut journal = match Journal::open(&path) {
+        Ok(j) => j,
+        Err(_) => Journal::create(&path).map_err(|e| fail(4, format!("journal create: {e}")))?,
     };
     job.publisher.reconcile_records(journal.records() as u64);
     let observer = {
@@ -594,11 +585,7 @@ fn execute_job(job: &Arc<Job>, lease: &BudgetLease) -> Result<Outcome, JobStatus
     };
     journal.set_observer(Some(observer));
 
-    let result = if resuming {
-        runner.resume(lp.as_ref(), &mut journal)
-    } else {
-        runner.try_run_journaled(lp.as_ref(), &mut journal)
-    };
+    let result = runner.execute(lp.as_ref(), RunPlan::default().journal(&mut journal));
     match result {
         Ok(res) => {
             if let Some(at) = res.report.stopped_at {

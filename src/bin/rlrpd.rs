@@ -5,7 +5,7 @@
 //! rlrpd run <file.rlp> [--procs N] [--strategy nrd|rd|adaptive|sw:W]
 //!                      [--checkpoint eager|ondemand]
 //!                      [--balance even|feedback|trend]
-//!                      [--threads|--pooled] [--timeline] [--report] [--runs K]
+//!                      [--pooled] [--timeline] [--report] [--runs K]
 //!                      [--fault-seed S] [--watchdog F] [--max-restarts R]
 //!                      [--max-stages M] [--journal <path>] [--resume]
 //!                      [--dist-workers N|auto|SPEC] [--block-deadline SECS]
@@ -46,11 +46,12 @@
 //! is **not** an exit code: the run degrades to in-process execution
 //! and exits 0, reporting the degradation on stdout.
 
+use rlrpd::core::report::json_string;
 use rlrpd::core::{AdaptRule, FallbackPolicy, FaultPlan, Timeline};
 use rlrpd::dist::{ChaosPlan, ChaosProxy, DistLauncher, DistPolicy, Endpoint};
 use rlrpd::{
     extract_ddg, run_sequential, BalancePolicy, CheckpointPolicy, ExecMode, FallbackReason,
-    Journal, RlrpdError, RunConfig, Runner, Strategy, WindowConfig,
+    Journal, RlrpdError, RunConfig, RunPlan, Runner, Strategy, WindowConfig,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -127,7 +128,7 @@ fn main() -> ExitCode {
 
 fn usage() -> String {
     "usage:\n  rlrpd run <file.rlp> [--procs N] [--strategy nrd|rd|adaptive|sw:W] \
-     [--checkpoint eager|ondemand] [--balance even|feedback|trend] [--threads|--pooled] \
+     [--checkpoint eager|ondemand] [--balance even|feedback|trend] [--pooled] \
      [--timeline] [--report] [--runs K] [--fault-seed S] [--watchdog F] \
      [--max-restarts R] [--max-stages M] [--journal <path>] [--resume] \
      [--dist-workers N|auto|host:port[:N],local[:N],...] [--block-deadline SECS] \
@@ -161,10 +162,10 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
         "submit" => cmd_submit(rest),
         "status" => cmd_status(rest),
         "chaos-proxy" => cmd_chaos_proxy(rest),
-        "classify" => cmd_classify(rest).map_err(CliError::from),
+        "classify" => cmd_classify(rest),
         "analyze" => cmd_analyze(rest),
-        "fmt" => cmd_fmt(rest).map_err(CliError::from),
-        "ddg" => cmd_ddg(rest).map_err(CliError::from),
+        "fmt" => cmd_fmt(rest),
+        "ddg" => cmd_ddg(rest),
         "model" => cmd_model(rest).map_err(CliError::from),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
@@ -185,6 +186,7 @@ struct Flags {
     positional: Vec<String>,
 }
 
+/// Flags that take a value.
 const VALUE_FLAGS: &[&str] = &[
     "--procs",
     "--format",
@@ -225,6 +227,18 @@ const VALUE_FLAGS: &[&str] = &[
     "--retry",
 ];
 
+/// Flags that stand alone. Any other `--flag` is a usage error, so a
+/// typo never silently runs with the defaults.
+const BOOL_FLAGS: &[&str] = &[
+    "--pooled",
+    "--report",
+    "--timeline",
+    "--resume",
+    "--no-compile",
+    "--audit",
+    "--deny-warnings",
+];
+
 fn parse_flags(args: Vec<String>) -> Result<Flags, String> {
     let mut flags = Flags {
         pairs: Vec::new(),
@@ -236,8 +250,10 @@ fn parse_flags(args: Vec<String>) -> Result<Flags, String> {
         if VALUE_FLAGS.contains(&a.as_str()) {
             let v = it.next().ok_or(format!("{a} needs a value"))?;
             flags.pairs.push((a, v));
-        } else if a.starts_with("--") {
+        } else if BOOL_FLAGS.contains(&a.as_str()) {
             flags.lone.push(a);
+        } else if a.starts_with("--") {
+            return Err(format!("unknown flag '{a}'"));
         } else {
             flags.positional.push(a);
         }
@@ -256,6 +272,17 @@ impl Flags {
 
     fn has(&self, name: &str) -> bool {
         self.lone.iter().any(|f| f == name)
+    }
+
+    /// `--format text|json`: true for JSON output.
+    fn json(&self) -> Result<bool, CliError> {
+        match self.get("--format").unwrap_or("text") {
+            "text" => Ok(false),
+            "json" => Ok(true),
+            other => Err(CliError::Usage(format!(
+                "--format expects 'text' or 'json', got '{other}'"
+            ))),
+        }
     }
 
     fn usize_of(&self, name: &str, default: usize) -> Result<usize, String> {
@@ -414,8 +441,6 @@ fn config(flags: &Flags) -> Result<RunConfig, String> {
     };
     let exec = if flags.has("--pooled") {
         ExecMode::Pooled
-    } else if flags.has("--threads") {
-        ExecMode::Threads
     } else {
         ExecMode::Simulated
     };
@@ -583,7 +608,7 @@ fn client_options(flags: &Flags, progress: bool) -> Result<rlrpd::serve::ClientO
 fn status_json(st: &rlrpd::core::remote::JobStatusFrame) -> String {
     format!(
         "{{\"key\":\"{:016x}\",\"state\":\"{:?}\",\"exit_code\":{},\"verified\":{},\
-         \"frontier\":{},\"report\":{},\"message\":\"{}\"}}",
+         \"frontier\":{},\"report\":{},\"message\":{}}}",
         st.key,
         st.state,
         st.exit_code,
@@ -594,7 +619,7 @@ fn status_json(st: &rlrpd::core::remote::JobStatusFrame) -> String {
         } else {
             &st.report_json
         },
-        json_escape(&st.message)
+        json_string(&st.message)
     )
 }
 
@@ -630,15 +655,7 @@ fn cmd_submit(args: Vec<String>) -> Result<(), CliError> {
         None | Some("auto") => 0,
         Some(v) => parse_bytes(v).map_err(|e| CliError::Usage(format!("--shadow-budget {e}")))?,
     };
-    let json = match flags.get("--format").unwrap_or("text") {
-        "text" => false,
-        "json" => true,
-        other => {
-            return Err(CliError::Usage(format!(
-                "--format expects 'text' or 'json', got '{other}'"
-            )))
-        }
-    };
+    let json = flags.json()?;
     let spec = rlrpd::core::remote::JobSpec {
         protocol: rlrpd::core::remote::SERVE_PROTOCOL_VERSION,
         key,
@@ -696,7 +713,7 @@ fn cmd_status(args: Vec<String>) -> Result<(), CliError> {
         .get("--connect")
         .ok_or_else(|| CliError::Usage("status needs --connect ADDR".into()))?;
     let key = job_key(&flags)?;
-    let json = flags.get("--format") == Some("json");
+    let json = flags.json()?;
     let opts = client_options(&flags, false)?;
     let st =
         rlrpd::serve::query_status(addr, key, &opts).map_err(|e| CliError::Other(e.to_string()))?;
@@ -950,15 +967,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
         return Err(CliError::Usage("--resume requires --journal <path>".into()));
     }
     let dist = dist_options(&flags).map_err(CliError::Usage)?;
-    let json = match flags.get("--format").unwrap_or("text") {
-        "text" => false,
-        "json" => true,
-        other => {
-            return Err(CliError::Usage(format!(
-                "--format expects 'text' or 'json', got '{other}'"
-            )))
-        }
-    };
+    let json = flags.json()?;
     let no_compile = flags.has("--no-compile");
     let doacross = doacross_mode(&flags).map_err(CliError::Usage)?;
     // Counter programs run under the EXTEND two-pass induction scheme.
@@ -1004,12 +1013,6 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
         prog = prog.with_shadow_budget(Some(cap));
     }
     if dist.is_some() {
-        if flags.has("--threads") {
-            return Err(CliError::Usage(
-                "--threads cannot combine with --dist-workers (blocks run in worker processes)"
-                    .into(),
-            ));
-        }
         cfg.exec = ExecMode::Distributed;
     }
     let runs = flags.usize_of("--runs", 1).map_err(CliError::Usage)?.max(1);
@@ -1130,44 +1133,40 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
         };
         let mut last = None;
         for k in 0..runs {
-            let res = match &journal_path {
-                Some(path) => {
-                    let mut journal = if resume {
-                        let j = Journal::open(path)
-                            .map_err(|e| CliError::Journal(format!("{path}: {e}")))?;
-                        if j.truncated_bytes() > 0 {
-                            println!(
-                                "journal: discarded {} torn/corrupt trailing bytes",
-                                j.truncated_bytes()
-                            );
-                        }
-                        j
-                    } else {
-                        Journal::create(path)
-                            .map_err(|e| CliError::Journal(format!("{path}: {e}")))?
-                    };
-                    let res = match (resume, connector.as_mut()) {
-                        (true, Some(conn)) => {
-                            runner.resume_distributed(&lp, &spec, conn, &mut journal)?
-                        }
-                        (true, None) => runner.resume(&lp, &mut journal)?,
-                        (false, Some(conn)) => {
-                            runner.try_run_distributed_journaled(&lp, &spec, conn, &mut journal)?
-                        }
-                        (false, None) => runner.try_run_journaled(&lp, &mut journal)?,
-                    };
-                    println!(
-                        "journal: {path} holds {} records ({} commits)",
-                        journal.records(),
-                        journal.commits().len()
-                    );
-                    res
+            // `--resume` reopens the journal, whose header makes the run
+            // continue from its recovered frontier.
+            let mut journal = match &journal_path {
+                Some(path) if resume => {
+                    let j = Journal::open(path)
+                        .map_err(|e| CliError::Journal(format!("{path}: {e}")))?;
+                    if j.truncated_bytes() > 0 {
+                        println!(
+                            "journal: discarded {} torn/corrupt trailing bytes",
+                            j.truncated_bytes()
+                        );
+                    }
+                    Some(j)
                 }
-                None => match connector.as_mut() {
-                    Some(conn) => runner.try_run_distributed(&lp, &spec, conn)?,
-                    None => runner.try_run(&lp)?,
-                },
+                Some(path) => Some(
+                    Journal::create(path).map_err(|e| CliError::Journal(format!("{path}: {e}")))?,
+                ),
+                None => None,
             };
+            let mut plan = RunPlan::default();
+            if let Some(j) = journal.as_mut() {
+                plan = plan.journal(j);
+            }
+            if let Some(conn) = connector.as_mut() {
+                plan = plan.fleet(&spec, conn);
+            }
+            let res = runner.execute(&lp, plan)?;
+            if let (Some(path), Some(j)) = (&journal_path, &journal) {
+                println!(
+                    "journal: {path} holds {} records ({} commits)",
+                    j.records(),
+                    j.commits().len()
+                );
+            }
             let faults = res.report.contained_faults();
             println!(
                 "run {k}: stages = {}, restarts = {}, PR = {:.3}, speedup = {:.2}x{}{}{}{}",
@@ -1239,13 +1238,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
         // DOACROSS runs in sequential-equivalent order and must be
         // byte-identical.
         let (seq, _) = run_sequential(&lp);
-        if proven0.is_some() {
-            verify_exact(&seq, &res.arrays)?;
-            println!("verified byte-identical to sequential execution ✓");
-        } else {
-            verify(&seq, &res.arrays)?;
-            println!("verified against sequential execution ✓");
-        }
+        verify(&seq, &res.arrays, proven0.is_some())?;
         if json {
             // Machine-readable report, last on stdout so pipelines can
             // `tail -1 | jq`. The same schema rides inside the daemon's
@@ -1294,13 +1287,8 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
         }
         println!("whole-program speedup = {:.2}x", res.speedup());
         let seq = prog.run_sequential();
-        if doacross_active && proven.iter().all(|p| p.is_some()) {
-            verify_exact(&seq, &res.arrays)?;
-            println!("verified byte-identical to sequential execution ✓");
-        } else {
-            verify(&seq, &res.arrays)?;
-            println!("verified against sequential execution ✓");
-        }
+        let exact = doacross_active && proven.iter().all(|p| p.is_some());
+        verify(&seq, &res.arrays, exact)?;
         if json {
             let reports: Vec<String> = res.reports.iter().map(|r| r.to_json()).collect();
             println!("[{}]", reports.join(","));
@@ -1330,41 +1318,34 @@ fn run_induction_program(ind: rlrpd::lang::CompiledInduction, flags: &Flags) -> 
     Ok(())
 }
 
-/// Compare speculative and sequential array states, allowing
-/// rounding-level differences from reduction reassociation.
+/// Compare speculative and sequential array states and announce the
+/// result. DOACROSS runs (`exact`) perform direct in-order writes with
+/// no reduction reassociation, so their contract is *byte identity*;
+/// the speculative tiers reassociate floating-point reductions across
+/// blocks and are allowed rounding-level differences.
 fn verify(
     seq: &[(&'static str, Vec<f64>)],
     spec: &[(&'static str, Vec<f64>)],
+    exact: bool,
 ) -> Result<(), String> {
     for ((name, s), (_, r)) in seq.iter().zip(spec) {
         for (k, (a, b)) in s.iter().zip(r).enumerate() {
-            let tol = 1e-9 * a.abs().max(1.0);
-            if (a - b).abs() > tol {
+            let differs = if exact {
+                a.to_bits() != b.to_bits()
+            } else {
+                (a - b).abs() > 1e-9 * a.abs().max(1.0)
+            };
+            if differs {
                 return Err(format!(
-                    "INTERNAL: array {name}[{k}] differs from sequential execution                      ({a} vs {b})"
+                    "INTERNAL: array {name}[{k}] differs from sequential execution ({a} vs {b})"
                 ));
             }
         }
     }
-    Ok(())
-}
-
-/// DOACROSS runs perform direct in-order writes with no reduction
-/// reassociation, so the contract is *byte identity*: every f64 must
-/// match sequential execution bit for bit.
-fn verify_exact(
-    seq: &[(&'static str, Vec<f64>)],
-    spec: &[(&'static str, Vec<f64>)],
-) -> Result<(), String> {
-    for ((name, s), (_, r)) in seq.iter().zip(spec) {
-        for (k, (a, b)) in s.iter().zip(r).enumerate() {
-            if a.to_bits() != b.to_bits() {
-                return Err(format!(
-                    "INTERNAL: array {name}[{k}] is not byte-identical to sequential \
-                     execution ({a} vs {b})"
-                ));
-            }
-        }
+    if exact {
+        println!("verified byte-identical to sequential execution ✓");
+    } else {
+        println!("verified against sequential execution ✓");
     }
     Ok(())
 }
@@ -1377,8 +1358,8 @@ fn initial_state(prog: &rlrpd::lang::CompiledProgram) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn cmd_fmt(args: Vec<String>) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+fn cmd_fmt(args: Vec<String>) -> Result<(), CliError> {
+    let flags = parse_flags(args).map_err(CliError::Usage)?;
     let src = source(&flags)?;
     // Both compilation schemes share the parser; format whatever parses.
     let program = rlrpd::lang::parse(&src).map_err(|e| e.to_string())?;
@@ -1386,8 +1367,8 @@ fn cmd_fmt(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_classify(args: Vec<String>) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+fn cmd_classify(args: Vec<String>) -> Result<(), CliError> {
+    let flags = parse_flags(args).map_err(CliError::Usage)?;
     let prog = load(&flags)?;
     print!("{}", prog.report());
     Ok(())
@@ -1423,53 +1404,45 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), CliError> {
         count(Level::Warning),
         count(Level::Note),
     );
-    match flags.get("--format").unwrap_or("text") {
-        "text" => {
-            for d in &diags {
-                println!("{d}");
-            }
-            println!("analyze: {errors} error(s), {warnings} warning(s), {notes} note(s)");
-        }
-        "json" => {
-            let mut out = String::from("{\"diagnostics\":[");
-            for (k, d) in diags.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"level\":\"{}\",\"code\":\"{}\",\"line\":{},\"col\":{},\
-                     \"loop\":{},\"array\":{},\"distance\":{},\"guarded\":{},\
-                     \"message\":\"{}\"}}",
-                    d.level,
-                    d.code,
-                    d.span.line,
-                    d.span.col,
-                    d.loop_index,
-                    match &d.array {
-                        Some(a) => format!("\"{}\"", json_escape(a)),
-                        None => "null".into(),
-                    },
-                    // The satellite fix: a guarded (May) conflict with
-                    // known geometry keeps its distance — `guarded`
-                    // tells the consumer it is contingent.
-                    match d.distance {
-                        Some(dist) => dist.to_string(),
-                        None => "null".into(),
-                    },
-                    d.guarded,
-                    json_escape(&d.message)
-                ));
+    if flags.json()? {
+        let mut out = String::from("{\"diagnostics\":[");
+        for (k, d) in diags.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
             }
             out.push_str(&format!(
-                "],\"errors\":{errors},\"warnings\":{warnings},\"notes\":{notes}}}"
+                "{{\"level\":\"{}\",\"code\":\"{}\",\"line\":{},\"col\":{},\
+                 \"loop\":{},\"array\":{},\"distance\":{},\"guarded\":{},\
+                 \"message\":{}}}",
+                d.level,
+                d.code,
+                d.span.line,
+                d.span.col,
+                d.loop_index,
+                match &d.array {
+                    Some(a) => json_string(a),
+                    None => "null".into(),
+                },
+                // The satellite fix: a guarded (May) conflict with
+                // known geometry keeps its distance — `guarded`
+                // tells the consumer it is contingent.
+                match d.distance {
+                    Some(dist) => dist.to_string(),
+                    None => "null".into(),
+                },
+                d.guarded,
+                json_string(&d.message)
             ));
-            println!("{out}");
         }
-        other => {
-            return Err(CliError::Usage(format!(
-                "--format expects 'text' or 'json', got '{other}'"
-            )))
+        out.push_str(&format!(
+            "],\"errors\":{errors},\"warnings\":{warnings},\"notes\":{notes}}}"
+        ));
+        println!("{out}");
+    } else {
+        for d in &diags {
+            println!("{d}");
         }
+        println!("analyze: {errors} error(s), {warnings} warning(s), {notes} note(s)");
     }
     if errors > 0 {
         return Err(CliError::Other(format!("analysis found {errors} error(s)")));
@@ -1539,28 +1512,13 @@ fn emit_bytecode(src: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Minimal JSON string escaping for diagnostic text.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn cmd_ddg(args: Vec<String>) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+fn cmd_ddg(args: Vec<String>) -> Result<(), CliError> {
+    let flags = parse_flags(args).map_err(CliError::Usage)?;
     let prog = load(&flags)?;
     if prog.num_loops() != 1 {
-        return Err("ddg extraction operates on single-loop programs".into());
+        return Err(CliError::Other(
+            "ddg extraction operates on single-loop programs".into(),
+        ));
     }
     let lp = prog.loop_view(0, initial_state(&prog));
     let cfg = config(&flags)?;

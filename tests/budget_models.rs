@@ -15,8 +15,8 @@ use rlrpd::core::AdaptRule;
 use rlrpd::dist::{DistLauncher, DistPolicy};
 use rlrpd::loops::*;
 use rlrpd::{
-    run_sequential, ExecMode, FallbackReason, FaultPlan, RunConfig, Runner, SpecLoop, Strategy,
-    WindowConfig,
+    run_sequential, try_run_speculative, ExecMode, FallbackReason, FaultPlan, RunConfig, RunPlan,
+    Runner, SpecLoop, Strategy, WindowConfig,
 };
 
 fn strategies() -> Vec<Strategy> {
@@ -42,11 +42,9 @@ fn assert_budget_governed(name: &str, lp: &dyn SpecLoop) {
     let p = 4;
     for strategy in strategies() {
         let base = RunConfig::new(p).with_strategy(strategy);
-        let free = Runner::new(base)
-            .try_run(lp)
+        let free = try_run_speculative(lp, base)
             .unwrap_or_else(|e| panic!("{name}: {strategy:?}: ungoverned: {e}"));
-        let armed = Runner::new(base.with_shadow_budget(Some(u64::MAX / 2)))
-            .try_run(lp)
+        let armed = try_run_speculative(lp, base.with_shadow_budget(Some(u64::MAX / 2)))
             .unwrap_or_else(|e| panic!("{name}: {strategy:?}: armed-unlimited: {e}"));
         assert_eq!(
             armed.arrays, free.arrays,
@@ -72,8 +70,7 @@ fn assert_budget_governed(name: &str, lp: &dyn SpecLoop) {
             (peak / 8).max(1),      // tighter
             64,                     // starvation: even sparse marks overflow
         ] {
-            let res = Runner::new(base.with_shadow_budget(Some(budget)))
-                .try_run(lp)
+            let res = try_run_speculative(lp, base.with_shadow_budget(Some(budget)))
                 .unwrap_or_else(|e| {
                     panic!("{name}: {strategy:?}: budget {budget}: must degrade, not fail: {e}")
                 });
@@ -138,9 +135,11 @@ fn injected_pressure_is_contained_and_deterministic() {
     let (seq, _) = run_sequential(&lp);
 
     let peak = {
-        let res = Runner::new(RunConfig::new(4).with_shadow_budget(Some(u64::MAX / 2)))
-            .try_run(&lp)
-            .expect("baseline");
+        let res = try_run_speculative(
+            &lp,
+            RunConfig::new(4).with_shadow_budget(Some(u64::MAX / 2)),
+        )
+        .expect("baseline");
         res.report.shadow_bytes_peak()
     };
 
@@ -148,7 +147,7 @@ fn injected_pressure_is_contained_and_deterministic() {
         let cfg = RunConfig::new(4).with_shadow_budget(Some(peak.saturating_mul(2)));
         Runner::new(cfg)
             .with_fault(Arc::new(FaultPlan::new().shadow_pressure_at(0, spike)))
-            .try_run(&lp)
+            .execute(&lp, RunPlan::default())
             .expect("pressure must be contained, never an abort")
     };
 
@@ -177,7 +176,7 @@ fn injected_pressure_is_contained_and_deterministic() {
         .with_fault(Arc::new(
             FaultPlan::new().shadow_pressure_at(0, u64::MAX / 4),
         ))
-        .try_run(&lp)
+        .execute(&lp, RunPlan::default())
         .expect("inert injection");
     assert_eq!(inert.report.shadow_pressure_events(), 0);
     assert_eq!(inert.arrays, seq);
@@ -201,9 +200,11 @@ fn distributed_runs_enforce_the_budget_fleet_wide() {
     for (spec, lp) in models {
         let (seq, _) = run_sequential(lp.as_ref());
         let peak = {
-            let res = Runner::new(RunConfig::new(4).with_shadow_budget(Some(u64::MAX / 2)))
-                .try_run(lp.as_ref())
-                .expect("baseline");
+            let res = try_run_speculative(
+                lp.as_ref(),
+                RunConfig::new(4).with_shadow_budget(Some(u64::MAX / 2)),
+            )
+            .expect("baseline");
             res.report.shadow_bytes_peak()
         };
         for budget in [peak.saturating_mul(2), (peak / 4).max(1)] {
@@ -223,7 +224,7 @@ fn distributed_runs_enforce_the_budget_fleet_wide() {
                 .with_exec(ExecMode::Distributed)
                 .with_shadow_budget(Some(budget));
             let got = Runner::new(cfg)
-                .try_run_distributed(lp.as_ref(), spec, &mut connector)
+                .execute(lp.as_ref(), RunPlan::default().fleet(spec, &mut connector))
                 .unwrap_or_else(|e| panic!("{spec}: budget {budget}: {e}"));
             assert_eq!(
                 got.arrays, seq,

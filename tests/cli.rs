@@ -152,6 +152,24 @@ fn bad_inputs_fail_cleanly() {
 }
 
 #[test]
+fn unknown_flags_exit_64_and_name_the_flag() {
+    // A typo, or the retired spawn-per-stage mode, must not silently
+    // run with the defaults.
+    for flag in ["--threads", "--pooeld"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
+            .args(["run", &program("tracking.rlp"), flag])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(64), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn run_report_carries_the_static_dependence_prediction() {
     // lu_sparse has affine evidence alongside its indirection, so the
     // single-loop CLI path must stamp the predicted first sink into
@@ -566,10 +584,6 @@ fn dist_flag_misuse_exits_64() {
         exit_code(&["run", &prog, "--dist-workers", "1", "--dist-fault", "kill"]),
         64
     );
-    assert_eq!(
-        exit_code(&["run", &prog, "--dist-workers", "1", "--threads"]),
-        64
-    );
 }
 
 #[test]
@@ -753,13 +767,7 @@ fn distributed_run_recovers_from_an_injected_worker_kill() {
 /// one stage, zero restarts, byte-identical verification.
 #[test]
 fn doacross_auto_pipelines_the_beta_deck() {
-    let (ok, stdout, stderr) = rlrpd(&[
-        "run",
-        &program("beta_pipeline.rlp"),
-        "--procs",
-        "4",
-        "--verify",
-    ]);
+    let (ok, stdout, stderr) = rlrpd(&["run", &program("beta_pipeline.rlp"), "--procs", "4"]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("DOACROSS (d = 4, depth 4)"), "{stdout}");
     assert!(stdout.contains("DOACROSS (d = 2, depth 2)"), "{stdout}");
@@ -777,7 +785,6 @@ fn doacross_off_still_speculates_the_beta_deck() {
         &program("beta_pipeline.rlp"),
         "--procs",
         "4",
-        "--verify",
         "--doacross",
         "off",
     ]);
@@ -805,7 +812,6 @@ fn doacross_single_loop_announces_the_proof() {
         path.to_str().unwrap(),
         "--procs",
         "2",
-        "--verify",
         "--doacross",
         "on",
     ]);

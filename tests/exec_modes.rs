@@ -1,4 +1,4 @@
-//! Real threads vs the simulated machine: the speculative outcome —
+//! The pooled executor's real threads vs the simulated machine: the speculative outcome —
 //! stage structure, commit decisions, detected arcs, final arrays — is
 //! identical; only wall-clock time differs. This is what justifies the
 //! simulated machine as the substitution for the paper's 16-processor
@@ -14,22 +14,22 @@ fn assert_modes_agree(name: &str, lp: &dyn SpecLoop, strategy: Strategy, p: usiz
             .with_strategy(strategy)
             .with_exec(ExecMode::Simulated),
     );
-    let thr = run_speculative(
+    let pooled = run_speculative(
         lp,
         RunConfig::new(p)
             .with_strategy(strategy)
-            .with_exec(ExecMode::Threads),
+            .with_exec(ExecMode::Pooled),
     );
     assert_eq!(
         sim.report.stages.len(),
-        thr.report.stages.len(),
+        pooled.report.stages.len(),
         "{name}: stage count differs between executors"
     );
     assert_eq!(
-        sim.report.restarts, thr.report.restarts,
+        sim.report.restarts, pooled.report.restarts,
         "{name}: restarts differ"
     );
-    for (a, b) in sim.report.stages.iter().zip(&thr.report.stages) {
+    for (a, b) in sim.report.stages.iter().zip(&pooled.report.stages) {
         assert_eq!(
             a.iters_committed, b.iters_committed,
             "{name}: commits differ"
@@ -39,11 +39,11 @@ fn assert_modes_agree(name: &str, lp: &dyn SpecLoop, strategy: Strategy, p: usiz
             "{name}: virtual loop time differs"
         );
     }
-    assert_eq!(sim.arcs, thr.arcs, "{name}: detected arcs differ");
-    assert_eq!(sim.arrays, thr.arrays, "{name}: final arrays differ");
+    assert_eq!(sim.arcs, pooled.arcs, "{name}: detected arcs differ");
+    assert_eq!(sim.arrays, pooled.arrays, "{name}: final arrays differ");
     assert!(
-        thr.report.wall_seconds > 0.0,
-        "{name}: threads mode must measure wall time"
+        pooled.report.wall_seconds > 0.0,
+        "{name}: pooled mode must measure wall time"
     );
     assert_eq!(
         sim.report.wall_seconds, 0.0,
@@ -82,7 +82,7 @@ fn quad_agrees_across_executors() {
 }
 
 #[test]
-fn threads_mode_with_more_procs_than_cores_still_correct() {
+fn pooled_mode_with_more_procs_than_cores_still_correct() {
     // 32 virtual processors on whatever machine runs the tests.
     let lp = AlphaLoop::new(640, 0.5, 1.0);
     assert_modes_agree("alpha/p32", &lp, Strategy::Nrd, 32);
@@ -94,9 +94,9 @@ fn induction_scheme_agrees_across_executors() {
     use rlrpd::{run_induction, CostModel};
     let lp = ExtendLoop::new(ExtendInput::dense());
     let sim = run_induction(&lp, 8, ExecMode::Simulated, CostModel::default());
-    let thr = run_induction(&lp, 8, ExecMode::Threads, CostModel::default());
-    assert_eq!(sim.test_passed, thr.test_passed);
-    assert_eq!(sim.final_counter, thr.final_counter);
-    assert_eq!(sim.arrays, thr.arrays);
-    assert_eq!(sim.report.stages.len(), thr.report.stages.len());
+    let pooled = run_induction(&lp, 8, ExecMode::Pooled, CostModel::default());
+    assert_eq!(sim.test_passed, pooled.test_passed);
+    assert_eq!(sim.final_counter, pooled.final_counter);
+    assert_eq!(sim.arrays, pooled.arrays);
+    assert_eq!(sim.report.stages.len(), pooled.report.stages.len());
 }

@@ -7,7 +7,8 @@
 use rlrpd::core::AdaptRule;
 use rlrpd::loops::*;
 use rlrpd::{
-    run_sequential, FallbackPolicy, FaultPlan, RunConfig, Runner, SpecLoop, Strategy, WindowConfig,
+    run_sequential, try_run_speculative, FallbackPolicy, FaultPlan, RunConfig, RunPlan, Runner,
+    SpecLoop, Strategy, WindowConfig,
 };
 use std::sync::Arc;
 
@@ -47,7 +48,7 @@ fn assert_faults_contained(name: &str, lp: &dyn SpecLoop) {
                 let plan = FaultPlan::seeded_panic(seed, n);
                 let res = Runner::new(cfg)
                     .with_fault(Arc::new(plan))
-                    .try_run(lp)
+                    .execute(lp, RunPlan::default())
                     .unwrap_or_else(|e| {
                         panic!("{name}: seed={seed} {strategy:?} p={p}: not contained: {e}")
                     });
@@ -97,9 +98,7 @@ fn restart_budget_on_a_workload_model_stays_correct() {
         let cfg = RunConfig::new(4)
             .with_strategy(strategy)
             .with_fallback(FallbackPolicy::default().with_max_restarts(1));
-        let res = Runner::new(cfg)
-            .try_run(&lp)
-            .unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+        let res = try_run_speculative(&lp, cfg).unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
         for ((sname, sdata), (rname, rdata)) in seq.iter().zip(&res.arrays) {
             assert_eq!(sname, rname);
             assert_eq!(sdata, rdata, "array {sname} differs under {strategy:?}");

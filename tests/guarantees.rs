@@ -127,11 +127,11 @@ fn eager_checkpoint_costs_scale_with_state_not_writes() {
 
 #[test]
 fn pr_accumulates_across_instantiations() {
-    use rlrpd::Runner;
+    use rlrpd::{RunPlan, Runner};
     let lp = AlphaLoop::new(256, 0.5, 1.0);
     let mut runner = Runner::new(RunConfig::new(4).with_strategy(Strategy::Nrd));
     for _ in 0..3 {
-        runner.run(&lp);
+        runner.execute(&lp, RunPlan::default()).unwrap();
     }
     let pr = runner.pr.pr();
     assert!(pr > 0.0 && pr < 1.0);

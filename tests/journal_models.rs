@@ -9,7 +9,8 @@
 
 use rlrpd::loops::*;
 use rlrpd::{
-    run_sequential, FaultPlan, Journal, RunConfig, Runner, SpecLoop, Strategy, WindowConfig,
+    run_sequential, FaultPlan, Journal, RunConfig, RunPlan, Runner, SpecLoop, Strategy,
+    WindowConfig,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -76,7 +77,7 @@ fn assert_kill_and_resume(name: &str, lp: &dyn SpecLoop) {
         let path = tmp(&format!("{name}-truth"));
         let mut journal = Journal::create(&path).unwrap();
         let res = Runner::new(cfg)
-            .try_run_journaled(lp, &mut journal)
+            .execute(lp, RunPlan::default().journal(&mut journal))
             .unwrap_or_else(|e| panic!("{name}: {strategy:?}: {e}"));
         drop(journal);
         let records = count_records(&std::fs::read(&path).unwrap());
@@ -90,13 +91,13 @@ fn assert_kill_and_resume(name: &str, lp: &dyn SpecLoop) {
             let mut journal = Journal::create(&path).unwrap();
             Runner::new(cfg)
                 .with_fault(Arc::new(FaultPlan::new().short_write_at(r, 3)))
-                .try_run_journaled(lp, &mut journal)
+                .execute(lp, RunPlan::default().journal(&mut journal))
                 .unwrap_err();
             drop(journal);
 
             let mut journal = Journal::open(&path).unwrap();
             let res = Runner::new(cfg)
-                .resume(lp, &mut journal)
+                .execute(lp, RunPlan::default().journal(&mut journal))
                 .unwrap_or_else(|e| panic!("{name}: {strategy:?} r={r}: resume: {e}"));
             assert_matches_sequential(
                 name,
@@ -122,7 +123,7 @@ fn assert_io_faults_recovered(name: &str, lp: &dyn SpecLoop) {
             let path = tmp(&format!("{name}-io-truth-{seed}"));
             let mut journal = Journal::create(&path).unwrap();
             Runner::new(cfg)
-                .try_run_journaled(lp, &mut journal)
+                .execute(lp, RunPlan::default().journal(&mut journal))
                 .unwrap();
             drop(journal);
             let records = count_records(&std::fs::read(&path).unwrap());
@@ -139,7 +140,7 @@ fn assert_io_faults_recovered(name: &str, lp: &dyn SpecLoop) {
                 let mut journal = Journal::create(&path).unwrap();
                 let first = Runner::new(cfg)
                     .with_fault(Arc::new(plan))
-                    .try_run_journaled(lp, &mut journal);
+                    .execute(lp, RunPlan::default().journal(&mut journal));
                 drop(journal);
 
                 let arrays = match first {
@@ -149,7 +150,7 @@ fn assert_io_faults_recovered(name: &str, lp: &dyn SpecLoop) {
                     Err(_) => {
                         let mut journal = Journal::open(&path).unwrap();
                         Runner::new(cfg)
-                            .resume(lp, &mut journal)
+                            .execute(lp, RunPlan::default().journal(&mut journal))
                             .unwrap_or_else(|e| {
                                 panic!("{name}: seed={seed} {strategy:?} fault#{k}: {e}")
                             })
